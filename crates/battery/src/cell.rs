@@ -127,10 +127,16 @@ impl Cell {
     /// The Joule term is always non-negative; the entropic term changes
     /// sign with the current direction.
     pub fn heat_generation(&self, current: Amps, temperature: Kelvin) -> Watts {
-        let r = self.internal_resistance(temperature).value();
+        self.heat_at(current, self.internal_resistance(temperature), temperature)
+    }
+
+    /// [`Cell::heat_generation`] at an already-evaluated resistance —
+    /// the one Eq. 4 body, shared with the pack's step path so a step
+    /// evaluates the Arrhenius resistance once.
+    pub(crate) fn heat_at(&self, current: Amps, resistance: Ohms, temperature: Kelvin) -> Watts {
         Watts::new(crate::kernel::cell_heat(
             current.value(),
-            r,
+            resistance.value(),
             temperature.value(),
             self.params.entropy_coefficient,
         ))
@@ -147,8 +153,17 @@ impl Cell {
     /// `V_oc·I − R·I²` over `I`, attained at `I = V_oc / 2R`), before the
     /// datasheet current limit.
     pub fn max_discharge_power(&self, temperature: Kelvin) -> Watts {
-        let voc = self.open_circuit_voltage().value();
-        let r = self.internal_resistance(temperature).value();
+        self.max_discharge_power_at(
+            self.open_circuit_voltage(),
+            self.internal_resistance(temperature),
+        )
+    }
+
+    /// [`Cell::max_discharge_power`] at an already-evaluated OCV and
+    /// resistance.
+    pub(crate) fn max_discharge_power_at(&self, voc: Volts, resistance: Ohms) -> Watts {
+        let voc = voc.value();
+        let r = resistance.value();
         let i_peak = voc / (2.0 * r);
         let i = i_peak.min(self.params.max_discharge_current);
         Watts::new(voc * i - r * i * i)

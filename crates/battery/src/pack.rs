@@ -148,6 +148,26 @@ pub struct DrawPartials {
     pub c_rate: [f64; 3],
 }
 
+/// The pack's state-dependent electrical parameters at one temperature,
+/// produced by [`BatteryPack::electrical`]: the cell OCV table lookup
+/// (Eq. 2) and the two-exponential Arrhenius resistance (Eq. 3), each
+/// evaluated once, with their pack scalings.
+///
+/// The `_at` methods of [`BatteryPack`] read it instead of re-evaluating,
+/// so one plant step pays for each battery quantity once. Their plain
+/// counterparts build it and delegate, so both produce the same bits.
+/// Valid until the pack's state of charge changes.
+#[derive(Debug, Clone, Copy)]
+pub struct PackElectrical {
+    /// Pack open-circuit voltage, as [`BatteryPack::open_circuit_voltage`].
+    pub voc: Volts,
+    /// Pack internal resistance, as [`BatteryPack::internal_resistance`].
+    pub resistance: Ohms,
+    temperature: Kelvin,
+    cell_voc: Volts,
+    cell_resistance: Ohms,
+}
+
 /// A battery pack: one representative [`Cell`] scaled by a [`PackConfig`].
 ///
 /// # Examples
@@ -224,7 +244,11 @@ impl BatteryPack {
 
     /// Pack open-circuit voltage (`series · V_oc,cell`).
     pub fn open_circuit_voltage(&self) -> Volts {
-        self.cell.open_circuit_voltage() * self.config.series as f64
+        self.pack_voltage(self.cell.open_circuit_voltage())
+    }
+
+    fn pack_voltage(&self, cell_voc: Volts) -> Volts {
+        cell_voc * self.config.series as f64
     }
 
     /// Slope of the pack open-circuit voltage in the state of charge
@@ -237,14 +261,52 @@ impl BatteryPack {
 
     /// Pack internal resistance (`series/parallel · R_cell`).
     pub fn internal_resistance(&self, temperature: Kelvin) -> Ohms {
-        self.cell.internal_resistance(temperature) * self.config.series as f64
-            / self.config.parallel as f64
+        self.pack_resistance(self.cell.internal_resistance(temperature))
+    }
+
+    fn pack_resistance(&self, cell_resistance: Ohms) -> Ohms {
+        cell_resistance * self.config.series as f64 / self.config.parallel as f64
+    }
+
+    /// Evaluates the OCV and the resistance once at the present state of
+    /// charge and `temperature`, for the `_at` methods.
+    pub fn electrical(&self, temperature: Kelvin) -> PackElectrical {
+        let cell_voc = self.cell.open_circuit_voltage();
+        let cell_resistance = self.cell.internal_resistance(temperature);
+        PackElectrical {
+            voc: self.pack_voltage(cell_voc),
+            resistance: self.pack_resistance(cell_resistance),
+            temperature,
+            cell_voc,
+            cell_resistance,
+        }
     }
 
     /// Maximum terminal discharge power right now, honouring the cell
     /// datasheet current limit.
     pub fn max_discharge_power(&self, temperature: Kelvin) -> Watts {
-        self.cell.max_discharge_power(temperature) * self.config.cell_count() as f64
+        self.max_discharge_power_at(&self.electrical(temperature))
+    }
+
+    /// [`BatteryPack::max_discharge_power`] at pre-evaluated parameters.
+    pub fn max_discharge_power_at(&self, at: &PackElectrical) -> Watts {
+        self.cell
+            .max_discharge_power_at(at.cell_voc, at.cell_resistance)
+            * self.config.cell_count() as f64
+    }
+
+    /// Total pack heat (Eq. 4) and per-cell C-rate magnitude (the Eq. 5
+    /// stress input) while the pack carries `current` (positive =
+    /// discharge).
+    pub fn heat_and_c_rate_at(&self, at: &PackElectrical, current: Amps) -> (Watts, f64) {
+        let per_cell_current = Amps::new(current.value() / self.config.parallel as f64);
+        let heat_per_cell = self
+            .cell
+            .heat_at(per_cell_current, at.cell_resistance, at.temperature);
+        (
+            heat_per_cell * self.config.cell_count() as f64,
+            self.cell.c_rate(per_cell_current).abs(),
+        )
     }
 
     /// Resolves a terminal power request into an operating point.
@@ -258,8 +320,13 @@ impl BatteryPack {
     /// Returns [`BatteryError::PowerInfeasible`] when the request exceeds
     /// the peak deliverable power `V_oc²/(4R)`.
     pub fn draw_power(&self, power: Watts, temperature: Kelvin) -> Result<PowerDraw, BatteryError> {
-        let voc = self.open_circuit_voltage().value();
-        let r = self.internal_resistance(temperature).value();
+        self.draw_power_at(&self.electrical(temperature), power)
+    }
+
+    /// [`BatteryPack::draw_power`] at pre-evaluated parameters.
+    fn draw_power_at(&self, at: &PackElectrical, power: Watts) -> Result<PowerDraw, BatteryError> {
+        let voc = at.voc.value();
+        let r = at.resistance.value();
         let p = power.value();
 
         if p == 0.0 {
@@ -280,16 +347,35 @@ impl BatteryPack {
         };
         let current = Amps::new(i);
         let terminal_voltage = Volts::new(voc - r * i);
-        let per_cell_current = Amps::new(i / self.config.parallel as f64);
-        let heat_per_cell = self.cell.heat_generation(per_cell_current, temperature);
+        let (heat, c_rate) = self.heat_and_c_rate_at(at, current);
 
         Ok(PowerDraw {
             terminal_power: power,
             internal_power: Watts::new(voc * i),
             current,
             terminal_voltage,
-            heat: heat_per_cell * self.config.cell_count() as f64,
-            c_rate: self.cell.c_rate(per_cell_current).abs(),
+            heat,
+            c_rate,
+        })
+    }
+
+    /// [`BatteryPack::draw_power`] at pre-evaluated parameters, or, when
+    /// the request exceeds what the pack can deliver, a draw of 99.9 % of
+    /// [`BatteryPack::max_discharge_power_at`] — the clamp every
+    /// battery-serving plant applies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BatteryError::PowerInfeasible`] only if the clamped draw
+    /// is itself infeasible.
+    pub fn draw_power_clamped_at(
+        &self,
+        at: &PackElectrical,
+        power: Watts,
+    ) -> Result<PowerDraw, BatteryError> {
+        self.draw_power_at(at, power).or_else(|_| {
+            let peak = self.max_discharge_power_at(at) * 0.999;
+            self.draw_power_at(at, peak.min(power))
         })
     }
 
@@ -590,6 +676,127 @@ mod tests {
         let p_max = p.max_discharge_power(room());
         // The datasheet-limited max power must be deliverable.
         assert!(p.draw_power(p_max * 0.999, room()).is_ok());
+    }
+
+    /// A draw resolved the way it was before the pack evaluated its
+    /// parameters once per step: every quantity re-read through the
+    /// public per-quantity API (`Cell::open_circuit_voltage`,
+    /// `Cell::internal_resistance`, `Cell::heat_generation`).
+    fn reference_draw(
+        pack: &BatteryPack,
+        power: Watts,
+        temp: Kelvin,
+    ) -> Result<PowerDraw, BatteryError> {
+        let cell = pack.cell();
+        let series = pack.config().series as f64;
+        let parallel = pack.config().parallel as f64;
+        let voc = (cell.open_circuit_voltage() * series).value();
+        let r = (cell.internal_resistance(temp) * series / parallel).value();
+        let p = power.value();
+        if p == 0.0 {
+            return Ok(PowerDraw {
+                terminal_voltage: Volts::new(voc),
+                ..PowerDraw::IDLE
+            });
+        }
+        let Some(i) = crate::kernel::pack_current(voc, r, p) else {
+            return Err(BatteryError::PowerInfeasible {
+                requested: power,
+                available: Watts::new(voc * voc / (4.0 * r)),
+            });
+        };
+        let per_cell = Amps::new(i / parallel);
+        Ok(PowerDraw {
+            terminal_power: power,
+            internal_power: Watts::new(voc * i),
+            current: Amps::new(i),
+            terminal_voltage: Volts::new(voc - r * i),
+            heat: cell.heat_generation(per_cell, temp) * pack.config().cell_count() as f64,
+            c_rate: cell.c_rate(per_cell).abs(),
+        })
+    }
+
+    /// The reference peak discharge power, from the per-quantity API.
+    fn reference_peak(pack: &BatteryPack, temp: Kelvin) -> Watts {
+        let cell = pack.cell();
+        let voc = cell.open_circuit_voltage().value();
+        let r = cell.internal_resistance(temp).value();
+        let i = (voc / (2.0 * r)).min(cell.params().max_discharge_current);
+        Watts::new(voc * i - r * i * i) * pack.config().cell_count() as f64
+    }
+
+    /// The reference 99.9 %-of-peak fallback.
+    fn reference_clamped(
+        pack: &BatteryPack,
+        power: Watts,
+        temp: Kelvin,
+    ) -> Result<PowerDraw, BatteryError> {
+        reference_draw(pack, power, temp).or_else(|_| {
+            let peak = reference_peak(pack, temp) * 0.999;
+            reference_draw(pack, peak.min(power), temp)
+        })
+    }
+
+    fn draw_bits(draw: Result<PowerDraw, BatteryError>) -> Vec<u64> {
+        match draw {
+            Ok(d) => vec![
+                d.terminal_power.value().to_bits(),
+                d.internal_power.value().to_bits(),
+                d.current.value().to_bits(),
+                d.terminal_voltage.value().to_bits(),
+                d.heat.value().to_bits(),
+                d.c_rate.to_bits(),
+            ],
+            Err(BatteryError::PowerInfeasible {
+                requested,
+                available,
+            }) => vec![requested.value().to_bits(), available.value().to_bits()],
+            Err(other) => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// Evaluating the OCV and the resistance once per step changes no
+    /// bit: over a SoC × temperature × power grid with idle, charge,
+    /// discharge and infeasible requests, on a fresh and an aged pack,
+    /// `draw_power`, `draw_power_at`, `draw_power_clamped_at` and
+    /// `max_discharge_power` equal the per-quantity reference.
+    #[test]
+    fn evaluate_once_draw_is_bit_identical_to_the_per_quantity_reference() {
+        let mut fallbacks = 0;
+        for (config, degradation) in [
+            (PackConfig::tesla_s_like(), 0.0),
+            (PackConfig::city_ev(), 0.07),
+        ] {
+            let mut p = BatteryPack::new(CellParams::ncr18650a(), config).expect("valid");
+            p.cell.apply_degradation(degradation);
+            for soc in [0.03, 0.3, 0.62, 0.97, 1.0] {
+                p.set_soc(Ratio::new(soc));
+                for celsius in [-10.0, 0.0, 25.0, 45.0] {
+                    let temp = Kelvin::from_celsius(celsius);
+                    let at = p.electrical(temp);
+                    assert_eq!(at.voc, p.open_circuit_voltage());
+                    assert_eq!(at.resistance, p.internal_resistance(temp));
+                    assert_eq!(
+                        p.max_discharge_power(temp).value().to_bits(),
+                        reference_peak(&p, temp).value().to_bits()
+                    );
+                    for power_w in [0.0, 1e3, 45e3, 150e3, 600e3, -20e3, -90e3, 1e9] {
+                        let power = Watts::new(power_w);
+                        let reference = reference_draw(&p, power, temp);
+                        fallbacks += usize::from(reference.is_err());
+                        let expected = draw_bits(reference);
+                        assert_eq!(draw_bits(p.draw_power(power, temp)), expected);
+                        assert_eq!(draw_bits(p.draw_power_at(&at, power)), expected);
+                        assert_eq!(
+                            draw_bits(p.draw_power_clamped_at(&at, power)),
+                            draw_bits(reference_clamped(&p, power, temp)),
+                            "clamped draw at soc {soc}, {celsius} °C, {power_w} W"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(fallbacks > 0, "the grid must exercise the peak fallback");
     }
 
     #[test]

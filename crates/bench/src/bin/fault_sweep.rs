@@ -111,7 +111,7 @@ fn run(
         capacity_loss: result.capacity_loss(),
         peak_temp_c,
         unserved_j,
-        faults_injected: sink.count_kind("fault_injected"),
+        faults_injected: sink.total_kind("fault_injected"),
         rejected,
         fallbacks,
         rearms,

@@ -91,13 +91,10 @@ impl Controller for ActiveCooling {
 
         // Cooling electricity rides on the bus: the battery serves both.
         let total = load + action.total_power();
+        let at = self.battery.electrical(self.state.battery);
         let draw = self
             .battery
-            .draw_power(total, self.state.battery)
-            .or_else(|_| {
-                let peak = self.battery.max_discharge_power(self.state.battery) * 0.999;
-                self.battery.draw_power(peak.min(total), self.state.battery)
-            })
+            .draw_power_clamped_at(&at, total)
             .unwrap_or(otem_battery::PowerDraw::IDLE);
         self.battery.integrate(draw, dt);
 

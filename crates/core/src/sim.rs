@@ -7,6 +7,7 @@ use crate::metrics::SimulationResult;
 use otem_battery::AgingModel;
 use otem_drivecycle::PowerTrace;
 use otem_telemetry::{span, Event, NullSink, Sink};
+use otem_units::Watts;
 use serde::{Deserialize, Serialize};
 
 /// Scalar outcome of a streamed run (see [`Simulator::run_each`]):
@@ -113,20 +114,25 @@ impl Simulator {
             aging: AgingModel::new(self.config.aging),
             dt: self.config.dt,
             forecast_len: self.forecast_len,
+            forecast: Vec::with_capacity(self.forecast_len),
             t: 0,
         }
     }
 }
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
-/// the loop state (`t` and the aging integrator), borrowing nothing, so
-/// a batch of cursors can be advanced in lockstep against their own
+/// the loop state (`t` and the aging integrator) plus the forecast
+/// buffer it lends the controller each step, borrowing nothing, so a
+/// batch of cursors can be advanced in lockstep against their own
 /// controllers and traces.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingModel,
     dt: otem_units::Seconds,
     forecast_len: usize,
+    /// Holds the zero-padded windows near the end of the route, reused
+    /// every step; windows inside the route are borrowed from the trace.
+    forecast: Vec<Watts>,
     t: usize,
 }
 
@@ -152,8 +158,8 @@ impl RunCursor {
         }
         let _step_span = span(sink, "sim_step");
         let load = trace.get(t);
-        let forecast = trace.window(t + 1, self.forecast_len);
-        let record = controller.step_with(load, &forecast, self.dt, sink);
+        let forecast = trace.window_in(t + 1, self.forecast_len, &mut self.forecast);
+        let record = controller.step_with(load, forecast, self.dt, sink);
         self.aging.accumulate(
             record.state.battery_temp,
             record.hees.battery_c_rate,
@@ -189,7 +195,7 @@ impl RunCursor {
 mod tests {
     use super::*;
     use crate::policy::Parallel;
-    use otem_units::{Seconds, Watts};
+    use otem_units::Seconds;
 
     #[test]
     fn run_collects_one_record_per_sample() {
@@ -320,6 +326,34 @@ mod tests {
             ]
         );
         assert_eq!(probe.forecasts[1], vec![Watts::ZERO; 5]);
+    }
+
+    /// The borrowed forecast equals `trace.window(t + 1, n)` element for
+    /// element, bit for bit, at every step: mid-trace, straddling the
+    /// end, fully past it, on a trace shorter than the window, and on an
+    /// empty trace (no step, no forecast).
+    #[test]
+    fn forecast_is_bit_identical_to_the_trace_window() {
+        let config = SystemConfig::default();
+        let bits = |w: &[Watts]| w.iter().map(|x| x.value().to_bits()).collect::<Vec<_>>();
+        for len in [0usize, 3, 20] {
+            let samples = (0..len)
+                .map(|k| Watts::new(-7_000.0 + 1_234.5 * k as f64))
+                .collect();
+            let trace = PowerTrace::new(Seconds::new(1.0), samples);
+            let mut sim = Simulator::new(&config);
+            sim.forecast_len = 5;
+            let mut probe = ForecastProbe::new();
+            sim.run(&mut probe, &trace);
+            assert_eq!(probe.forecasts.len(), len, "one forecast per step");
+            for (t, forecast) in probe.forecasts.iter().enumerate() {
+                assert_eq!(
+                    bits(forecast),
+                    bits(&trace.window(t + 1, 5)),
+                    "step {t} of a {len}-sample trace"
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,32 @@ impl PowerTrace {
     /// the end of the route — what the MPC hands to the optimiser at
     /// each step (Algorithm 1 lines 11–12).
     pub fn window(&self, start: usize, n: usize) -> Vec<Watts> {
-        (start..start + n).map(|i| self.get(i)).collect()
+        let mut window = Vec::with_capacity(n);
+        self.window_into(start, n, &mut window);
+        window
+    }
+
+    /// [`PowerTrace::window`] without allocating: the samples are borrowed
+    /// when the window lies inside the route, and otherwise written,
+    /// zero-padded, into `pad`. A closed loop passes the same `pad` every
+    /// step, so once it has grown to `n` samples no call allocates.
+    pub fn window_in<'a>(&'a self, start: usize, n: usize, pad: &'a mut Vec<Watts>) -> &'a [Watts] {
+        match self.samples.get(start..start.saturating_add(n)) {
+            Some(inside) => inside,
+            None => {
+                self.window_into(start, n, pad);
+                pad
+            }
+        }
+    }
+
+    /// The one zero-padding implementation: [`PowerTrace::window`]
+    /// written into `out`, replacing its contents.
+    fn window_into(&self, start: usize, n: usize, out: &mut Vec<Watts>) {
+        out.clear();
+        let ahead = self.samples.get(start..).unwrap_or_default();
+        out.extend_from_slice(&ahead[..n.min(ahead.len())]);
+        out.resize(n, Watts::ZERO);
     }
 
     /// Concatenates `n` repetitions of the trace.
@@ -140,6 +165,32 @@ mod tests {
             w,
             vec![Watts::new(-50.0), Watts::ZERO, Watts::ZERO, Watts::ZERO]
         );
+    }
+
+    /// `window`, `window_into` and `window_in` (into a dirty, reused
+    /// buffer) all equal the definition — `get(i)` for every `i` in
+    /// `[start, start + n)` — bit for bit, on an empty trace, mid-trace,
+    /// straddling the end, fully past it, and wider than the trace.
+    #[test]
+    fn windows_match_the_per_sample_definition() {
+        let empty = PowerTrace::new(Seconds::new(1.0), vec![]);
+        let mut reused = vec![Watts::new(f64::NAN); 9];
+        for t in [empty, trace()] {
+            for start in 0..7 {
+                for n in 0..7 {
+                    let expected: Vec<u64> = (start..start + n)
+                        .map(|i| t.get(i).value().to_bits())
+                        .collect();
+                    let bits =
+                        |w: &[Watts]| w.iter().map(|x| x.value().to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&t.window(start, n)), expected, "window({start}, {n})");
+                    t.window_into(start, n, &mut reused);
+                    assert_eq!(bits(&reused), expected, "window_into({start}, {n})");
+                    let borrowed = t.window_in(start, n, &mut reused);
+                    assert_eq!(bits(borrowed), expected, "window_in({start}, {n})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -149,12 +149,8 @@ impl DualHees {
         dt: Seconds,
     ) -> HeesStep {
         let total = load + recharge;
-        let feasible = self.battery.draw_power(total, temperature).or_else(|_| {
-            // Clamp to the peak the pack can deliver right now.
-            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-            self.battery.draw_power(peak.min(total), temperature)
-        });
-        let draw = match feasible {
+        let at = self.battery.electrical(temperature);
+        let draw = match self.battery.draw_power_clamped_at(&at, total) {
             Ok(d) => d,
             Err(_) => {
                 return HeesStep {

@@ -218,10 +218,11 @@ impl HybridHees {
 
     /// Largest bus-side power the battery path can deliver right now.
     pub fn battery_bus_limit(&self, temperature: Kelvin) -> Watts {
-        let storage_peak = self.battery.max_discharge_power(temperature);
+        let at = self.battery.electrical(temperature);
+        let storage_peak = self.battery.max_discharge_power_at(&at);
         // Conversion shrinks what arrives on the bus; approximate with
         // the efficiency at the peak.
-        let v = self.battery.open_circuit_voltage();
+        let v = at.voc;
         match self.battery_converter.efficiency(storage_peak, v) {
             Ok(eta) => storage_peak * eta,
             Err(_) => Watts::ZERO,
@@ -291,7 +292,8 @@ impl HybridHees {
         // --- Battery leg -------------------------------------------------
         let (bat_internal, bat_heat, bat_c_rate) = {
             let bus = command.battery_bus;
-            let v = self.battery.open_circuit_voltage();
+            let at = self.battery.electrical(temperature);
+            let v = at.voc;
             let storage_request = if bus.value() >= 0.0 {
                 self.battery_converter.input_for_output(bus, v)
             } else {
@@ -299,15 +301,7 @@ impl HybridHees {
             };
             match storage_request {
                 Ok(storage_power) => {
-                    let draw = self
-                        .battery
-                        .draw_power(storage_power, temperature)
-                        .or_else(|_| {
-                            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-                            self.battery
-                                .draw_power(peak.min(storage_power), temperature)
-                        });
-                    match draw {
+                    match self.battery.draw_power_clamped_at(&at, storage_power) {
                         Ok(d) => {
                             // Bus power actually achieved on this leg (a
                             // pure function of the resolved draw — safe

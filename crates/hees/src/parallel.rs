@@ -105,8 +105,9 @@ impl ParallelHees {
     /// load exceeds the circuit's peak power the delivered power is
     /// clamped and the rest is reported as [`HeesStep::shortfall`].
     pub fn step(&mut self, load: Watts, temperature: Kelvin, dt: Seconds) -> HeesStep {
-        let v_b = self.battery.open_circuit_voltage().value();
-        let r_b = self.battery.internal_resistance(temperature).value();
+        let at = self.battery.electrical(temperature);
+        let v_b = at.voc.value();
+        let r_b = at.resistance.value();
         let v_c = self.cap.voltage().value();
         let r_c = self.branch_resistance;
 
@@ -121,10 +122,7 @@ impl ParallelHees {
         let i_c = (v_c - v_l) / r_c;
 
         // Apply to the battery.
-        let per_cell = Amps::new(i_b / self.battery.config().parallel as f64);
-        let heat = self.battery.cell().heat_generation(per_cell, temperature)
-            * self.battery.config().cell_count() as f64;
-        let c_rate = self.battery.cell().c_rate(per_cell).abs();
+        let (heat, c_rate) = self.battery.heat_and_c_rate_at(&at, Amps::new(i_b));
         self.battery.cell_integrate(Amps::new(i_b), dt);
 
         // Apply to the ultracapacitor: its store sees V_c·I_c.
@@ -238,6 +236,92 @@ mod tests {
         // 15 MJ drained; the 3.2 MJ bank must have given up energy too
         // (it tracks the battery voltage downward).
         assert!(h.soe() < Ratio::new(0.9));
+    }
+
+    /// One step resolved the way it was before the pack evaluated its
+    /// parameters once: OCV, resistance and heat each re-read through
+    /// the public per-quantity API. Returns the step and the post-step
+    /// `(soc, soe)`.
+    fn reference_step(
+        h: &ParallelHees,
+        load: Watts,
+        temperature: Kelvin,
+        dt: Seconds,
+    ) -> (HeesStep, Ratio, Ratio) {
+        let mut h = h.clone();
+        let v_b = h.battery.open_circuit_voltage().value();
+        let r_b = h.battery.internal_resistance(temperature).value();
+        let v_c = h.cap.voltage().value();
+        let r_c = h.branch_resistance;
+        let g = 1.0 / r_b + 1.0 / r_c;
+        let s = v_b / r_b + v_c / r_c;
+        let p = load.value().min(s * s / (4.0 * g) * 0.999);
+        let v_l = (s + (s * s - 4.0 * g * p).sqrt()) / (2.0 * g);
+        let i_b = (v_b - v_l) / r_b;
+        let i_c = (v_c - v_l) / r_c;
+        let per_cell = Amps::new(i_b / h.battery.config().parallel as f64);
+        let heat = h.battery.cell().heat_generation(per_cell, temperature)
+            * h.battery.config().cell_count() as f64;
+        let c_rate = h.battery.cell().c_rate(per_cell).abs();
+        h.battery.cell_integrate(Amps::new(i_b), dt);
+        let cap_internal = Watts::new(v_c * i_c);
+        h.cap.force_integrate(cap_internal, dt);
+        let step = HeesStep {
+            delivered: Watts::new(p),
+            shortfall: Watts::new((load.value() - p).max(0.0)),
+            battery_internal: Watts::new(v_b * i_b),
+            cap_internal,
+            battery_heat: heat,
+            battery_c_rate: c_rate,
+            converter_loss: Watts::ZERO,
+        };
+        (step, h.soc(), h.soe())
+    }
+
+    fn step_bits(step: &HeesStep, soc: Ratio, soe: Ratio) -> [u64; 9] {
+        [
+            step.delivered.value().to_bits(),
+            step.shortfall.value().to_bits(),
+            step.battery_internal.value().to_bits(),
+            step.cap_internal.value().to_bits(),
+            step.battery_heat.value().to_bits(),
+            step.battery_c_rate.to_bits(),
+            step.converter_loss.value().to_bits(),
+            soc.value().to_bits(),
+            soe.value().to_bits(),
+        ]
+    }
+
+    /// Evaluating the battery OCV and resistance once per step changes
+    /// no bit: over a SoC × temperature × load grid with idle
+    /// (equalisation only), charge, discharge and an overload clamped to
+    /// 99.9 % of the circuit peak, the step and the state it leaves
+    /// equal the per-quantity reference.
+    #[test]
+    fn step_is_bit_identical_to_the_per_quantity_reference() {
+        let dt = Seconds::new(1.0);
+        let mut clamped = 0;
+        for soc in [0.05, 0.4, 0.8, 1.0] {
+            for soe in [0.1, 0.6, 0.95] {
+                for celsius in [-10.0, 0.0, 25.0, 45.0] {
+                    let temperature = Kelvin::from_celsius(celsius);
+                    for load_w in [0.0, 2e3, 60e3, 250e3, -35e3, -120e3, 5e6] {
+                        let mut h = hees();
+                        h.set_state(Ratio::new(soc), Ratio::new(soe));
+                        let load = Watts::new(load_w);
+                        let (expected, soc1, soe1) = reference_step(&h, load, temperature, dt);
+                        clamped += usize::from(expected.shortfall.value() > 0.0);
+                        let step = h.step(load, temperature, dt);
+                        assert_eq!(
+                            step_bits(&step, h.soc(), h.soe()),
+                            step_bits(&expected, soc1, soe1),
+                            "soc {soc}, soe {soe}, {celsius} °C, {load_w} W"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(clamped > 0, "the grid must exercise the peak clamp");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::error::HeesError;
 use crate::pack_domain_bank;
 use crate::step::HeesStep;
-use otem_battery::{BatteryPack, CellParams, PackConfig};
+use otem_battery::{BatteryPack, CellParams, PackConfig, PackElectrical};
 use otem_converter::DcDcConverter;
 use otem_ultracap::{UltracapBank, UltracapParams};
 use otem_units::{Farads, Kelvin, Ratio, Seconds, Watts};
@@ -114,13 +114,14 @@ impl SemiActiveHees {
         dt: Seconds,
     ) -> HeesStep {
         let direct_share = load - converted_bus;
+        let at = self.battery.electrical(temperature);
         match self.side {
             ConvertedSide::Ultracap => {
                 // Converted leg: the bank through its converter.
                 let (cap_internal, cap_delivered, conv_loss) = self.cap_leg(converted_bus, dt);
                 // Direct leg: the battery takes the remainder, unconverted.
                 let (bat_internal, bat_heat, c_rate, bat_delivered) =
-                    self.battery_leg(direct_share, temperature, dt);
+                    self.battery_leg(&at, direct_share, dt);
                 let delivered = cap_delivered + bat_delivered;
                 HeesStep {
                     delivered,
@@ -134,7 +135,7 @@ impl SemiActiveHees {
             }
             ConvertedSide::Battery => {
                 // Converted leg: the battery through its converter.
-                let v = self.battery.open_circuit_voltage();
+                let v = at.voc;
                 let storage_request = if converted_bus.value() >= 0.0 {
                     self.converter.input_for_output(converted_bus, v)
                 } else {
@@ -143,7 +144,7 @@ impl SemiActiveHees {
                 let (bat_internal, bat_heat, c_rate, bat_delivered, conv_loss) =
                     match storage_request {
                         Ok(p) => {
-                            let (i, h, c, d) = self.battery_leg(p, temperature, dt);
+                            let (i, h, c, d) = self.battery_leg(&at, p, dt);
                             (
                                 i,
                                 h,
@@ -227,15 +228,11 @@ impl SemiActiveHees {
     /// (internal, heat, c-rate, terminal delivered).
     fn battery_leg(
         &mut self,
+        at: &PackElectrical,
         power: Watts,
-        temperature: Kelvin,
         dt: Seconds,
     ) -> (Watts, Watts, f64, Watts) {
-        let draw = self.battery.draw_power(power, temperature).or_else(|_| {
-            let peak = self.battery.max_discharge_power(temperature) * 0.999;
-            self.battery.draw_power(peak.min(power), temperature)
-        });
-        match draw {
+        match self.battery.draw_power_clamped_at(at, power) {
             Ok(d) => {
                 self.battery.integrate(d, dt);
                 (d.internal_power, d.heat, d.c_rate, d.terminal_power)

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// An event consumer.
 ///
@@ -49,10 +49,18 @@ impl Sink for NullSink {
 }
 
 /// Retains the most recent events in a bounded ring buffer — the sink
-/// for tests and in-process inspection.
+/// for tests and in-process inspection — and counts every event it is
+/// handed, by kind, exactly: eviction from the ring never loses a count.
 #[derive(Debug)]
 pub struct MemorySink {
-    ring: Mutex<RingBuffer<Event>>,
+    state: Mutex<MemoryState>,
+}
+
+#[derive(Debug)]
+struct MemoryState {
+    ring: RingBuffer<Event>,
+    /// Events recorded since creation or the last clear, by kind.
+    totals: Vec<(&'static str, usize)>,
 }
 
 impl MemorySink {
@@ -72,13 +80,20 @@ impl MemorySink {
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            ring: Mutex::new(RingBuffer::new(capacity)),
+            state: Mutex::new(MemoryState {
+                ring: RingBuffer::new(capacity),
+                totals: Vec::new(),
+            }),
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, MemoryState> {
+        self.state.lock().expect("memory sink poisoned")
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("memory sink poisoned").len()
+        self.state().ring.len()
     }
 
     /// `true` when nothing is retained.
@@ -88,22 +103,35 @@ impl MemorySink {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.ring.lock().expect("memory sink poisoned").to_vec()
+        self.state().ring.to_vec()
     }
 
-    /// Number of retained events of the given [`Event::kind`].
+    /// Number of *retained* events of the given [`Event::kind`]: events
+    /// the ring has evicted are not counted. Use
+    /// [`MemorySink::total_kind`] for how many were recorded.
     pub fn count_kind(&self, kind: &str) -> usize {
-        self.ring
-            .lock()
-            .expect("memory sink poisoned")
+        self.state()
+            .ring
             .iter()
             .filter(|e| e.kind() == kind)
             .count()
     }
 
-    /// Drops all retained events.
+    /// Exact number of events of the given [`Event::kind`] recorded since
+    /// creation or the last [`MemorySink::clear`], evicted ones included.
+    pub fn total_kind(&self, kind: &str) -> usize {
+        self.state()
+            .totals
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, n)| n)
+    }
+
+    /// Drops all retained events and resets the totals.
     pub fn clear(&self) {
-        self.ring.lock().expect("memory sink poisoned").clear();
+        let mut state = self.state();
+        state.ring.clear();
+        state.totals.clear();
     }
 }
 
@@ -115,7 +143,13 @@ impl Default for MemorySink {
 
 impl Sink for MemorySink {
     fn record(&self, event: Event) {
-        self.ring.lock().expect("memory sink poisoned").push(event);
+        let kind = event.kind();
+        let mut state = self.state();
+        match state.totals.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => state.totals.push((kind, 1)),
+        }
+        state.ring.push(event);
     }
 }
 
@@ -383,8 +417,13 @@ mod tests {
         assert_eq!(sink.events(), vec![Event::PoolHit, Event::PoolHit]);
         assert_eq!(sink.count_kind("pool_hit"), 2);
         assert_eq!(sink.count_kind("pool_miss"), 0);
+        // The totals count what the ring evicted.
+        assert_eq!(sink.total_kind("pool_hit"), 2);
+        assert_eq!(sink.total_kind("pool_miss"), 1);
+        assert_eq!(sink.total_kind("span_start"), 0);
         sink.clear();
         assert!(sink.is_empty());
+        assert_eq!(sink.total_kind("pool_miss"), 0);
     }
 
     #[test]

@@ -16,6 +16,29 @@ cargo build --workspace --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# Flake gate: a scheduling-dependent assertion must fail tier-1, not
+# pass most runs. The fleet and telemetry lib test binaries run 20 times
+# with default threads and 20 times with --test-threads=1.
+echo "==> flake gate: otem-fleet + otem-telemetry lib tests x20 (default threads, --test-threads=1)"
+for pkg in otem-fleet otem-telemetry; do
+    bin=$(cargo test -p "$pkg" --lib --no-run 2>&1 |
+        sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p')
+    if [ -z "$bin" ]; then
+        echo "flake gate: no lib test binary found for $pkg"
+        exit 1
+    fi
+    for threads in "" "--test-threads=1"; do
+        for run in $(seq 1 20); do
+            # shellcheck disable=SC2086 # empty $threads must vanish
+            if ! out=$("$bin" -q $threads 2>&1); then
+                echo "$out"
+                echo "flake gate: $pkg failed on run $run ${threads:-(default threads)}"
+                exit 1
+            fi
+        done
+    done
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
