@@ -1,39 +1,27 @@
-//! Scalar-generic battery step math.
+//! Battery step math.
 //!
 //! The quadratic pack-current solve, the cell heat law and the coulomb
-//! counter of Eq. 1–4, written once against [`otem_units::Scalar`] and
-//! monomorphised per scalar type. The concrete `f64` methods on
-//! [`crate::BatteryPack`] / [`crate::Cell`] delegate here — the `f64`
-//! instantiation performs the *same operations in the same order* as the
-//! pre-refactor hand-written code, so delegation is bit-identical (the
-//! contract the golden traces pin). The OCV and resistance table lookups
-//! stay `f64` at the kernel boundary; only the arithmetic downstream of
-//! them is generic.
-
-use otem_units::Scalar;
+//! counter of Eq. 1–4 as plain `f64` functions. The methods on
+//! [`crate::BatteryPack`] / [`crate::Cell`] delegate here; the operation
+//! order is the contract the golden traces pin.
 
 /// Pack (or cell) current from the stable root of `P = V_oc·I − R·I²`:
 /// `I = (V_oc − √(V_oc² − 4RP))/(2R)` — the low-current branch of the
 /// quadratic. Returns `None` past the peak-power vertex `V_oc²/(4R)`,
 /// where no real current delivers the request.
 #[inline]
-pub fn pack_current<S: Scalar>(voc: S, r: S, p: S) -> Option<S> {
-    let discriminant = voc * voc - S::from_f64(4.0) * r * p;
-    if discriminant < S::ZERO {
+pub fn pack_current(voc: f64, r: f64, p: f64) -> Option<f64> {
+    let discriminant = voc * voc - 4.0 * r * p;
+    if discriminant < 0.0 {
         return None;
     }
-    Some((voc - discriminant.sqrt()) / (S::from_f64(2.0) * r))
+    Some((voc - discriminant.sqrt()) / (2.0 * r))
 }
 
 /// Cell heat generation (Eq. 4): `Q = I²·R + I·T·κ` — non-negative Joule
 /// term plus the sign-changing entropic term.
 #[inline]
-pub fn cell_heat<S: Scalar>(
-    current: S,
-    resistance: S,
-    temperature: S,
-    entropy_coefficient: S,
-) -> S {
+pub fn cell_heat(current: f64, resistance: f64, temperature: f64, entropy_coefficient: f64) -> f64 {
     let joule = current * current * resistance;
     let entropic = current * temperature * entropy_coefficient;
     joule + entropic
@@ -43,7 +31,7 @@ pub fn cell_heat<S: Scalar>(
 /// against the effective capacity in coulombs. The caller subtracts and
 /// clamps.
 #[inline]
-pub fn soc_decrement<S: Scalar>(current: S, dt: S, capacity_coulombs: S) -> S {
+pub fn soc_decrement(current: f64, dt: f64, capacity_coulombs: f64) -> f64 {
     current * dt / capacity_coulombs
 }
 
@@ -72,13 +60,5 @@ mod tests {
         let q = cell_heat(10.0_f64, 0.05, 298.15, -0.1e-3);
         let joule = 10.0 * 10.0 * 0.05;
         assert!((q - joule).abs() / joule < 0.2, "Q = {q}");
-    }
-
-    #[cfg(feature = "f32")]
-    #[test]
-    fn f32_lanes_track_f64_within_single_precision() {
-        let wide = pack_current(350.0_f64, 0.06, 50_000.0).unwrap();
-        let narrow = pack_current(350.0_f32, 0.06, 50_000.0).unwrap() as f64;
-        assert!((wide - narrow).abs() < 1e-3 * wide, "{wide} vs {narrow}");
     }
 }

@@ -38,7 +38,7 @@ mod aging;
 mod cell;
 mod error;
 mod estimator;
-pub mod kernel;
+mod kernel;
 mod pack;
 mod params;
 mod transient;

@@ -1,4 +1,4 @@
-//! Fleet-scale throughput benchmark: batched campaigns through the
+//! Fleet-scale throughput benchmark: campaigns through the
 //! sharded engine, plus a loopback round-trip section against the
 //! serving layer. Writes `BENCH_fleet.json`.
 //!
@@ -9,8 +9,7 @@
 //! |------|--------|
 //! | `--smoke` | quick gate for `scripts/tier1.sh`: determinism across schedules/shards + a server round trip; writes nothing |
 //! | `--chaos-smoke` | serving-layer robustness gate: malformed traffic, load shedding + retry, poisoned vehicle containment, graceful drain; writes nothing |
-//! | `--obs-smoke` | observability gate: scrapes `/metrics`, validates the Prometheus exposition with the test-suite parser, checks `/metrics.json` and span sampling, and asserts a poisoned vehicle freezes a flight-recorder dump attributed to its request id; writes nothing |
-//! | `--batch-smoke` | lockstep-engine gate: batched summaries and the fleet checksum must be bit-identical to the scalar engine across lane widths and schedules, a poisoned lane must drop out without perturbing its neighbours, and the batch metric families must surface on a live `/metrics`; only then is throughput timed; writes nothing |
+//! | `--obs-smoke` | observability gate: scrapes `/metrics`, validates the Prometheus exposition with the test-suite parser, checks span sampling, and asserts a poisoned vehicle freezes a flight-recorder dump attributed to its request id; writes nothing |
 //! | `--vehicles N` | campaign size for `--smoke` (default 64) |
 //! | `--full` | adds the 100k-vehicle campaign to the report |
 //! | `--seed S` | campaign family (default 42) |
@@ -38,16 +37,10 @@ use std::time::Instant;
 const SERVER_REQUESTS: usize = 24;
 const SERVER_VEHICLES: usize = 32;
 
-/// Lane width for the batched-engine rows: wide enough to amortise the
-/// sweep overhead, narrow enough that the tail of a heterogeneous
-/// campaign still fills most lanes.
-const BATCH_LANES: usize = 8;
-
 struct Args {
     smoke: bool,
     chaos_smoke: bool,
     obs_smoke: bool,
-    batch_smoke: bool,
     full: bool,
     vehicles: usize,
     seed: u64,
@@ -59,7 +52,6 @@ fn parse_args() -> Args {
         smoke: false,
         chaos_smoke: false,
         obs_smoke: false,
-        batch_smoke: false,
         full: false,
         vehicles: 64,
         seed: 42,
@@ -78,7 +70,6 @@ fn parse_args() -> Args {
             "--smoke" => out.smoke = true,
             "--chaos-smoke" => out.chaos_smoke = true,
             "--obs-smoke" => out.obs_smoke = true,
-            "--batch-smoke" => out.batch_smoke = true,
             "--full" => out.full = true,
             "--vehicles" => out.vehicles = value("--vehicles") as usize,
             "--seed" => out.seed = value("--seed"),
@@ -283,6 +274,7 @@ fn chaos_smoke(args: &Args) {
         head.push_str("\r\n");
         head
     };
+    let absurd_horizon = "{\"methodology\":\"otem\",\"steps\":2,\"mpc_horizon\":100000000000}";
     let mut abuses: Vec<(&str, String, Option<u16>)> = vec![
         ("garbage request line", "GARBAGE\r\n\r\n".into(), Some(400)),
         (
@@ -301,6 +293,16 @@ fn chaos_smoke(args: &Args) {
             Some(404),
         ),
         ("header flood", flood, Some(400)),
+        (
+            // Would ask for a 1e11-step decision vector (800 GB): the
+            // parser must refuse it before anything is allocated.
+            "absurd mpc_horizon",
+            format!(
+                "POST /simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{absurd_horizon}",
+                absurd_horizon.len()
+            ),
+            Some(400),
+        ),
         (
             // The client stalls mid-head and waits: the read deadline
             // trips and the server cuts it off with 408.
@@ -462,8 +464,7 @@ fn chaos_smoke(args: &Args) {
 /// The observability gate for `scripts/tier1.sh`: boots a live server,
 /// drives nominal traffic, scrapes `/metrics`, and validates the
 /// exposition on the wire bytes with the same parser the property
-/// suite round-trips through; checks `/metrics.json` still serves the
-/// legacy JSON; arms span sampling through `/debug/trace`; then
+/// suite round-trips through; arms span sampling through `/debug/trace`; then
 /// injects a poisoned vehicle and asserts the flight recorder froze a
 /// dump whose entries carry the poisoned request's correlation id.
 fn obs_smoke(args: &Args) {
@@ -556,15 +557,6 @@ fn obs_smoke(args: &Args) {
         parsed.families.len()
     );
 
-    // The machine-readable JSON snapshot moved to /metrics.json.
-    let legacy = http(addr, "GET", "/metrics.json", "");
-    assert!(
-        legacy[0].starts_with("{\"event\":\"metrics\""),
-        "legacy JSON metrics preserved at /metrics.json: {}",
-        legacy[0]
-    );
-    println!("obs: /metrics.json legacy snapshot OK");
-
     // Span sampling: arm 1-in-1, run a single-vehicle simulation, and
     // the live recorder ring must hold correlated span events.
     let armed = http(addr, "GET", "/debug/trace?sample=1", "");
@@ -616,129 +608,6 @@ fn obs_smoke(args: &Args) {
     println!("fleet obs smoke PASS");
 }
 
-/// The batched-engine gate for `scripts/tier1.sh`: bit-equality first,
-/// timing second. Lockstep lanes must reproduce the scalar engine's
-/// summaries and fleet checksum exactly across lane widths and
-/// schedules, every healthy step must be accounted to a lockstep
-/// sweep, a poisoned lane must be contained without perturbing its
-/// neighbours, and the batch metric families must surface on a live
-/// server's `/metrics` when lanes are configured. Only after all of
-/// that does the gate time scalar vs batched sweeps — and it reports
-/// the ratio honestly whichever way it lands.
-fn batch_smoke(args: &Args) {
-    use otem_telemetry::promparse::validate_exposition;
-
-    let campaign = Campaign::synthetic(args.vehicles, args.seed);
-    let reference = FleetEngine::new(Schedule::Serial).run(&campaign);
-    assert_eq!(
-        reference.batch_sweeps, 0,
-        "scalar engine ran lockstep sweeps"
-    );
-    for lanes in [2usize, 4, BATCH_LANES] {
-        for schedule in [Schedule::Serial, Schedule::WorkStealing { shards: 4 }] {
-            let report = FleetEngine::new(schedule)
-                .with_batch_lanes(lanes)
-                .run(&campaign);
-            assert_eq!(
-                report.summaries, reference.summaries,
-                "{schedule:?} x {lanes} lanes diverged from the scalar engine"
-            );
-            assert_eq!(
-                report.fleet_checksum(),
-                reference.fleet_checksum(),
-                "{schedule:?} x {lanes} lanes changed the fleet checksum"
-            );
-            assert_eq!(
-                report.batched_steps, report.total_steps,
-                "{schedule:?} x {lanes} lanes: steps escaped the lockstep sweeps"
-            );
-            assert!(report.batch_sweeps > 0, "no lockstep sweeps recorded");
-            let occupancy = report.mean_batch_occupancy();
-            assert!(
-                occupancy > 0.0 && occupancy <= lanes as f64,
-                "mean occupancy {occupancy:.2} outside (0, {lanes}]"
-            );
-            println!(
-                "batch: {:>7} x {lanes} lanes OK  checksum {:016x}  occupancy {occupancy:.2}",
-                schedule.wire_name(),
-                report.fleet_checksum()
-            );
-        }
-    }
-
-    // Throughput, measured only now that equality is pinned: the same
-    // serial schedule with and without lockstep lanes. The ratio is
-    // informational — the gate asserts bits, not speed.
-    let batched = FleetEngine::new(Schedule::Serial)
-        .with_batch_lanes(BATCH_LANES)
-        .run(&campaign);
-    println!(
-        "batch: serial scalar {:.2}s vs {BATCH_LANES}-lane {:.2}s ({:.2}x, {:.1} vs {:.1} vehicles/s)",
-        reference.wall_s,
-        batched.wall_s,
-        reference.wall_s / batched.wall_s,
-        batched.vehicles_per_sec(),
-        reference.vehicles_per_sec()
-    );
-
-    // Live-server phase: with lanes configured, a campaign must light
-    // up the batch metric families on /metrics, and a poisoned lane
-    // must still be contained to its own error record.
-    let mut handle = FleetServer::new(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        shards: 2,
-        batch_lanes: 4,
-        ..ServerConfig::default()
-    })
-    .spawn()
-    .expect("bind batched server");
-    let addr = handle.addr();
-    let body = format!("{{\"vehicles\":8,\"seed\":{}}}", args.seed);
-    let resp = request(addr, "POST", "/simulate", &body).expect("batched campaign");
-    assert_eq!(resp.status, 200, "batched campaign refused");
-    assert_eq!(resp.lines.len(), 9, "8 summaries + fleet trailer");
-    let exposition = http(addr, "GET", "/metrics", "").join("\n") + "\n";
-    let parsed = validate_exposition(&exposition).expect("/metrics is valid Prometheus text");
-    let batched_total = parsed
-        .sample("otem_batched_rollouts_total", &[])
-        .expect("otem_batched_rollouts_total missing from /metrics")
-        .value;
-    assert!(batched_total > 0.0, "no batched rollouts counted");
-    let occupancy_count = parsed
-        .sample("otem_rollout_batch_occupancy_count", &[])
-        .expect("otem_rollout_batch_occupancy missing from /metrics")
-        .value;
-    assert!(occupancy_count > 0.0, "no occupancy samples observed");
-    println!(
-        "batch: /metrics surfaces otem_batched_rollouts_total={batched_total:.0}, \
-         occupancy samples={occupancy_count:.0}"
-    );
-
-    let poison = format!("{{\"vehicles\":4,\"seed\":{},\"poison_id\":2}}", args.seed);
-    // The contained panic still reaches the global hook; silence it so
-    // the gate's output stays readable.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let resp = request(addr, "POST", "/simulate", &poison).expect("poison campaign");
-    std::panic::set_hook(prev_hook);
-    assert_eq!(
-        resp.status, 200,
-        "poisoned batched campaign still answers 200"
-    );
-    assert_eq!(resp.lines.len(), 5, "3 summaries + 1 error + trailer");
-    let errors = resp
-        .lines
-        .iter()
-        .filter(|l| l.starts_with("{\"event\":\"vehicle_error\""))
-        .count();
-    assert_eq!(errors, 1, "exactly one lane fell out of the batch");
-    let health = request(addr, "GET", "/healthz", "").expect("healthz after poison");
-    assert_eq!(health.status, 200, "server healthy after the poisoned lane");
-    handle.shutdown();
-    println!("batch: poisoned lane contained, server healthy");
-    println!("fleet batch smoke PASS");
-}
-
 /// Folds a campaign's solve-outcome tally into `registry` under the
 /// same `otem_solve_outcome_total{mode,outcome}` family the server
 /// exports, so BENCH rows and live scrapes read identically.
@@ -774,8 +643,7 @@ fn bench(args: &Args) {
         sizes.push(100_000);
     }
     // Campaign outcomes and loopback latency fold into one registry
-    // snapshot, embedded in the report as the `metrics` object — the
-    // same shape `/metrics.json` serves, so dashboards can ingest both.
+    // snapshot, embedded in the report as the `metrics` object.
     let registry = otem_telemetry::MetricsRegistry::new();
     let campaign_mode = otem::mpc::MpcConfig::default().gradient_mode.name();
 
@@ -825,28 +693,6 @@ fn bench(args: &Args) {
         } else {
             String::new()
         };
-        // Batched-engine row: same campaign, same stealing schedule,
-        // lockstep lanes on. Summaries and the checksum are asserted
-        // bit-identical first, so the row is purely about throughput —
-        // whichever way the ratio lands, it is reported as measured.
-        let batched = FleetEngine::new(Schedule::WorkStealing {
-            shards: args.shards,
-        })
-        .with_batch_lanes(BATCH_LANES)
-        .run(&campaign);
-        assert_eq!(
-            batched.summaries, report.summaries,
-            "batched engine diverged at {n} vehicles"
-        );
-        assert_eq!(batched.batched_steps, batched.total_steps);
-        println!(
-            "          batched @ {n}: {BATCH_LANES} lanes, {:.1} vs {:.1} vehicles/s \
-             ({:.2}x, occupancy {:.2}, bit-identical)",
-            batched.vehicles_per_sec(),
-            report.vehicles_per_sec(),
-            batched.vehicles_per_sec() / report.vehicles_per_sec(),
-            batched.mean_batch_occupancy()
-        );
         rows.push(format!(
             concat!(
                 "    {{\n",
@@ -858,11 +704,7 @@ fn bench(args: &Args) {
                 "      \"steps_per_sec\": {:.1},\n",
                 "      \"latency_ms\": {},\n",
                 "      \"solve_outcomes\": {},\n",
-                "      \"fleet_checksum\": \"{:016x}\",\n",
-                "      \"batched\": {{ \"lanes\": {}, \"wall_s\": {:.4}, ",
-                "\"vehicles_per_sec\": {:.2}, \"steps_per_sec\": {:.1}, ",
-                "\"mean_batch_occupancy\": {:.3}, \"batch_sweeps\": {}, ",
-                "\"speedup_vs_scalar\": {:.3} }}{}\n",
+                "      \"fleet_checksum\": \"{:016x}\"{}\n",
                 "    }}"
             ),
             n,
@@ -873,13 +715,6 @@ fn bench(args: &Args) {
             quantiles_json(&report.latency_ms),
             outcomes_json(&report.solve_outcomes),
             report.fleet_checksum(),
-            BATCH_LANES,
-            batched.wall_s,
-            batched.vehicles_per_sec(),
-            batched.steps_per_sec(),
-            batched.mean_batch_occupancy(),
-            batched.batch_sweeps,
-            report.wall_s / batched.wall_s,
             comparison
         ));
     }
@@ -937,7 +772,6 @@ fn bench(args: &Args) {
             "  \"cpu_cores\": {},\n",
             "  \"shards\": {},\n",
             "  \"resolved_workers\": {},\n",
-            "  \"batch_lanes\": {},\n",
             "  \"campaigns\": [\n{}\n  ],\n",
             "  \"server\": {{\n",
             "    \"requests\": {},\n",
@@ -951,7 +785,6 @@ fn bench(args: &Args) {
         cores,
         args.shards,
         otem_fleet::pool::resolve_workers(args.shards),
-        BATCH_LANES,
         rows.join(",\n"),
         SERVER_REQUESTS,
         SERVER_VEHICLES,
@@ -973,8 +806,6 @@ fn main() {
         chaos_smoke(&args);
     } else if args.obs_smoke {
         obs_smoke(&args);
-    } else if args.batch_smoke {
-        batch_smoke(&args);
     } else {
         bench(&args);
     }

@@ -3,8 +3,10 @@
 //! Ingests the span JSONL an instrumented run emits (see
 //! `otem_telemetry::span` and `otem_bench::spans`), validates that the
 //! stream is balanced and properly nested, prints the per-phase table
-//! (count, cumulative, self time, mean, p50/p95/p99) and writes
-//! `BENCH_spans.json` for cross-PR regression tracking.
+//! (count, cumulative, self time, mean, p50/p95/p99) and writes the
+//! same figures as JSON to `results/trace_spans.json` (gitignored, so
+//! gate runs leave the tree clean; copy it over the committed
+//! `BENCH_spans.json` to take a deliberate snapshot).
 //!
 //! Usage:
 //!
@@ -24,6 +26,7 @@ use otem_telemetry::JsonlSink;
 use std::io::BufRead as _;
 
 const TRACE_PATH: &str = "results/trace_spans.jsonl";
+const REPORT_PATH: &str = "results/trace_spans.json";
 
 struct Args {
     input: Option<String>,
@@ -104,9 +107,10 @@ fn main() {
         analysis.phases.len()
     );
 
-    std::fs::write("BENCH_spans.json", analysis.render_json(args.steps))
-        .expect("write BENCH_spans.json");
-    println!("wrote BENCH_spans.json");
+    std::fs::create_dir_all("results").expect("results dir");
+    std::fs::write(REPORT_PATH, analysis.render_json(args.steps))
+        .unwrap_or_else(|e| die(&format!("cannot write {REPORT_PATH}: {e}")));
+    println!("wrote {REPORT_PATH}");
 
     if !analysis.is_balanced() {
         eprintln!("\ntrace is structurally invalid:");

@@ -90,9 +90,6 @@ impl DcDcConverter {
     ///
     /// `P_loss = P_0·p/(p + 50 W) + k_i·|I| + k_r·I²` — the quiescent
     /// term ramps in smoothly as the converter wakes from idle.
-    /// Delegates to the scalar-generic [`crate::kernel::loss`] (the `f64`
-    /// instantiation is operation-identical to the historical inline
-    /// body).
     #[inline]
     pub fn loss(&self, storage_power: Watts, storage_voltage: Volts) -> Watts {
         Watts::new(crate::kernel::loss(
@@ -224,7 +221,7 @@ impl DcDcConverter {
         }
         let p_out = p_out.abs();
         // Solve x − loss(x) = P_out in the magnitude domain via the
-        // scalar-generic kernel: a closed-form constant-quiescent seed
+        // kernel: a closed-form constant-quiescent seed
         // refined by fixed-point iteration (a contraction in the feasible
         // regime — ∂loss/∂x < 1).
         match crate::kernel::input_for_output_magnitude(

@@ -1,15 +1,9 @@
-//! Scalar-generic converter step math.
+//! Converter step math.
 //!
-//! The loss model and both power mappings of [`crate::DcDcConverter`],
-//! written once against [`otem_units::Scalar`] and monomorphised per
-//! scalar type. The concrete `f64` methods on `DcDcConverter` delegate
-//! here — the `f64` instantiation performs the *same operations in the
-//! same order* as the pre-refactor hand-written code, so delegation is
-//! bit-identical (the contract the golden traces pin). The batched SoA
-//! rollout kernel and the `f32` stress lanes call these functions
-//! directly.
-
-use otem_units::Scalar;
+//! The loss model and both power mappings of [`crate::DcDcConverter`] as
+//! plain `f64` functions of the converter coefficients. The methods on
+//! `DcDcConverter` delegate here; the operation order is the contract the
+//! golden traces pin.
 
 /// Width of the quiescent-loss wake-up ramp (W): below this power the
 /// controller overhead fades toward zero, keeping the loss model smooth
@@ -21,14 +15,14 @@ pub const QUIESCENT_RAMP: f64 = 50.0;
 /// the 1 mV evaluation floor internally):
 /// `P_loss = P_0·p/(p + 50 W) + k_i·|I| + k_r·I²` with `I = p/V`.
 #[inline]
-pub fn loss<S: Scalar>(quiescent: S, conduction: S, ohmic: S, power: S, voltage: S) -> S {
+pub fn loss(quiescent: f64, conduction: f64, ohmic: f64, power: f64, voltage: f64) -> f64 {
     let p = power.abs();
-    if p == S::ZERO {
-        return S::ZERO;
+    if p == 0.0 {
+        return 0.0;
     }
-    let v = voltage.max(S::from_f64(1e-3));
+    let v = voltage.max(1e-3);
     let i = p / v;
-    let ramp_in = quiescent * p / (p + S::from_f64(QUIESCENT_RAMP));
+    let ramp_in = quiescent * p / (p + QUIESCENT_RAMP);
     ramp_in + conduction * i + ohmic * i * i
 }
 
@@ -39,41 +33,41 @@ pub fn loss<S: Scalar>(quiescent: S, conduction: S, ohmic: S, power: S, voltage:
 /// rounds to `1e-9` relative tolerance. Returns `None` when the converter
 /// saturates at this voltage (no real, positive solution).
 #[inline]
-pub fn input_for_output_magnitude<S: Scalar>(
-    quiescent: S,
-    conduction: S,
-    ohmic: S,
-    p_out: S,
-    v: S,
-) -> Option<S> {
+pub fn input_for_output_magnitude(
+    quiescent: f64,
+    conduction: f64,
+    ohmic: f64,
+    p_out: f64,
+    v: f64,
+) -> Option<f64> {
     let a = ohmic / (v * v);
-    let b = conduction / v - S::ONE;
+    let b = conduction / v - 1.0;
     let c = p_out + quiescent;
-    let seed = if a == S::ZERO {
-        if b >= S::ZERO {
+    let seed = if a == 0.0 {
+        if b >= 0.0 {
             return None;
         }
         -c / b
     } else {
-        let disc = b * b - S::from_f64(4.0) * a * c;
-        if disc < S::ZERO {
+        let disc = b * b - 4.0 * a * c;
+        if disc < 0.0 {
             return None;
         }
-        (-b - disc.sqrt()) / (S::from_f64(2.0) * a)
+        (-b - disc.sqrt()) / (2.0 * a)
     };
-    if !seed.is_finite() || seed <= S::ZERO {
+    if !seed.is_finite() || seed <= 0.0 {
         return None;
     }
     let mut x = seed;
     for _ in 0..30 {
         let next = p_out + loss(quiescent, conduction, ohmic, x, v);
-        if (next - x).abs() < S::from_f64(1e-9) * x.max(S::ONE) {
+        if (next - x).abs() < 1e-9 * x.max(1.0) {
             x = next;
             break;
         }
         x = next;
     }
-    if !x.is_finite() || x <= S::ZERO {
+    if !x.is_finite() || x <= 0.0 {
         return None;
     }
     Some(x)
@@ -84,17 +78,17 @@ pub fn input_for_output_magnitude<S: Scalar>(
 /// `P_storage = P_bus − loss(P_bus, V)`, sign-preserving. Returns `None`
 /// when the loss consumes the whole transfer (nothing reaches storage).
 #[inline]
-pub fn output_for_input<S: Scalar>(
-    quiescent: S,
-    conduction: S,
-    ohmic: S,
-    bus_in: S,
-    voltage: S,
-) -> Option<S> {
+pub fn output_for_input(
+    quiescent: f64,
+    conduction: f64,
+    ohmic: f64,
+    bus_in: f64,
+    voltage: f64,
+) -> Option<f64> {
     let magnitude = bus_in.abs();
     let step_loss = loss(quiescent, conduction, ohmic, magnitude, voltage);
     let delivered = magnitude - step_loss;
-    if delivered <= S::ZERO {
+    if delivered <= 0.0 {
         return None;
     }
     Some(delivered.copysign(bus_in))
@@ -122,14 +116,5 @@ mod tests {
     fn charge_path_preserves_sign_and_loses_power() {
         let out = output_for_input(15.0_f64, 0.12, 4.0e-5, -5_000.0, 14.0).expect("feasible");
         assert!(out < 0.0 && out.abs() < 5_000.0);
-    }
-
-    #[cfg(feature = "f32")]
-    #[test]
-    fn f32_lanes_track_f64_within_single_precision() {
-        let wide = input_for_output_magnitude(15.0_f64, 0.12, 4.0e-5, 8_000.0, 12.0).unwrap();
-        let narrow =
-            input_for_output_magnitude(15.0_f32, 0.12, 4.0e-5, 8_000.0, 12.0).unwrap() as f64;
-        assert!((wide - narrow).abs() < 1e-3 * wide, "{wide} vs {narrow}");
     }
 }

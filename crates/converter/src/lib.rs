@@ -35,7 +35,7 @@
 
 mod converter;
 mod error;
-pub mod kernel;
+mod kernel;
 
 pub use converter::DcDcConverter;
 pub use error::ConverterError;

@@ -139,16 +139,14 @@ pub(crate) fn rollout_cost_taped(
 }
 
 /// One horizon step of the rollout: actuation chain, HEES power split,
-/// thermal update, and the Eq. 19 stage cost — the *single* per-step
-/// body shared by the scalar rollout above and the batched SoA kernel
-/// ([`crate::batch`]), so the two are bit-identical by construction.
+/// thermal update, and the Eq. 19 stage cost.
 ///
-/// Accumulates directly into the caller's `cost` (preserving the scalar
-/// path's float summation order) and returns the post-step thermal
+/// Accumulates directly into the caller's `cost` (fixing the float
+/// summation order) and returns the post-step thermal
 /// state. `z_cap`/`z_duty` are the step's raw decision entries
 /// (`z[k]`, `z[n + k]`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rollout_stage(
+fn rollout_stage(
     plant: &MpcPlant,
     hees: &mut HybridHees,
     mut state: ThermalState,
@@ -249,9 +247,8 @@ pub(crate) fn rollout_stage(
 /// excluding the cooling-induced battery current, which would
 /// otherwise make the tail punish the very cooling that lowers the
 /// terminal temperature. Like [`rollout_stage`], accumulates directly
-/// into the caller's `cost` so scalar and batched paths sum in the
-/// same order.
-pub(crate) fn rollout_terminal(
+/// into the caller's `cost`.
+fn rollout_terminal(
     plant: &MpcPlant,
     loads: &[Watts],
     n: usize,

@@ -76,14 +76,11 @@ pub struct MpcConfig {
     pub block_size: usize,
     /// How the gradient of the rollout objective is evaluated.
     /// [`GradientMode::Serial`] is plain central finite differences
-    /// (`4·horizon` rollouts per gradient); [`GradientMode::Parallel`]
-    /// fans those coordinates out across scoped threads with
-    /// bit-identical results, cutting solve latency roughly by the
-    /// thread count; [`GradientMode::Adjoint`] replaces finite
-    /// differences entirely with a hand-derived reverse-mode sweep —
-    /// one taped rollout per gradient regardless of the horizon (see
-    /// `adjoint` module), matching FD to ~1e-6 relative error away from
-    /// penalty kinks; [`GradientMode::GaussNewton`] additionally
+    /// (`4·horizon` rollouts per gradient); [`GradientMode::Adjoint`]
+    /// replaces finite differences entirely with a hand-derived
+    /// reverse-mode sweep — one taped rollout per gradient regardless of
+    /// the horizon (see `adjoint` module), matching FD to ~1e-6 relative
+    /// error away from penalty kinks; [`GradientMode::GaussNewton`] additionally
     /// assembles a Gauss-Newton curvature matrix from the *same* tape
     /// and solves with a projected Levenberg–Marquardt step.
     pub gradient_mode: GradientMode,
@@ -94,14 +91,6 @@ pub struct MpcConfig {
     /// inside the box, never worse than the projected warm start.
     /// `None` disables the deadline.
     pub deadline_ns: Option<u64>,
-    /// Line-search batch width for the inner solver: `0` (or `1`)
-    /// keeps the scalar one-candidate-at-a-time backtracking ladder;
-    /// `≥ 2` speculatively evaluates that many ladder rungs per call
-    /// through the structure-of-arrays batched rollout kernel (see the
-    /// `batch` module). The accepted iterate is bit-identical either
-    /// way — lanes run the same scalar step body — only the number of
-    /// speculative evaluations differs.
-    pub batch_line_search: usize,
 }
 
 impl Default for MpcConfig {
@@ -122,7 +111,6 @@ impl Default for MpcConfig {
             block_size: 1,
             gradient_mode: GradientMode::Serial,
             deadline_ns: None,
-            batch_line_search: 0,
         }
     }
 }
@@ -209,7 +197,6 @@ impl Mpc {
             max_iterations: config.solver_iterations,
             tolerance: 1e-5,
             gradient_mode: config.gradient_mode,
-            batch_width: config.batch_line_search,
             ..ProjectedGradient::default()
         };
         let n = config.horizon;
@@ -287,14 +274,6 @@ impl Mpc {
         self.pool.rollouts.load(Ordering::Relaxed)
     }
 
-    /// The subset of [`Mpc::rollouts`] that ran through the batched
-    /// lockstep kernel (each lane of a batched line-search evaluation
-    /// counts as one rollout). Zero unless
-    /// [`MpcConfig::batch_line_search`] is `≥ 2`.
-    pub fn batched_rollouts(&self) -> u64 {
-        self.pool.batched_rollouts.load(Ordering::Relaxed)
-    }
-
     /// Solves the control window given the plant snapshot and the load
     /// forecast (`loads[0]` is the period being decided). Returns the
     /// first move, retaining the full solution as the next warm start.
@@ -364,7 +343,6 @@ impl Mpc {
             let gauss_newton = GaussNewton {
                 max_iterations: solver.max_iterations,
                 tolerance: solver.tolerance,
-                batch_width: self.config.batch_line_search,
                 ..GaussNewton::default()
             };
             gauss_newton.minimize_within(
@@ -375,7 +353,7 @@ impl Mpc {
                 deadline.as_ref(),
             )
         } else {
-            solver.minimize_sync_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref())
+            solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref())
         };
         sink.record(Event::SolveOutcome {
             outcome: outcome.name(),
@@ -457,19 +435,13 @@ struct RolloutWorkspace {
     /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep
     /// over the same tape; likewise capacity-retaining.
     curvature: crate::adjoint::CurvatureScratch,
-    /// Structure-of-arrays lane state for batched line-search
-    /// evaluations; likewise capacity-retaining.
-    batch: crate::batch::BatchState,
 }
 
-/// Shared pool of [`RolloutWorkspace`]s, sized on demand (one per
-/// concurrently evaluating thread) and retained across solves.
+/// Pool of [`RolloutWorkspace`]s, built on first use and retained across
+/// solves.
 struct WorkspacePool {
     slots: Mutex<Vec<RolloutWorkspace>>,
     rollouts: AtomicU64,
-    /// How many of `rollouts` ran through the batched lockstep kernel
-    /// (each batched lane counts as one rollout).
-    batched_rollouts: AtomicU64,
 }
 
 impl WorkspacePool {
@@ -477,7 +449,6 @@ impl WorkspacePool {
         Self {
             slots: Mutex::new(Vec::new()),
             rollouts: AtomicU64::new(0),
-            batched_rollouts: AtomicU64::new(0),
         }
     }
 
@@ -517,7 +488,6 @@ impl WorkspacePool {
                     xp: Vec::new(),
                     tape: Vec::new(),
                     curvature: crate::adjoint::CurvatureScratch::default(),
-                    batch: crate::batch::BatchState::new(),
                 }
             }
         }
@@ -538,7 +508,6 @@ impl Clone for WorkspacePool {
         Self {
             slots: Mutex::new(Vec::new()),
             rollouts: AtomicU64::new(self.rollouts.load(Ordering::Relaxed)),
-            batched_rollouts: AtomicU64::new(self.batched_rollouts.load(Ordering::Relaxed)),
         }
     }
 }
@@ -548,10 +517,6 @@ impl std::fmt::Debug for WorkspacePool {
         f.debug_struct("WorkspacePool")
             .field("slots", &self.slots.lock().map(|s| s.len()).unwrap_or(0))
             .field("rollouts", &self.rollouts.load(Ordering::Relaxed))
-            .field(
-                "batched_rollouts",
-                &self.batched_rollouts.load(Ordering::Relaxed),
-            )
             .finish()
     }
 }
@@ -566,8 +531,7 @@ struct RolloutObjective<'a> {
     /// rewinding its workspace here, exactly like a fresh clone would.
     start: HeesSnapshot,
     /// Telemetry sink for pool traffic ([`Event::PoolHit`] /
-    /// [`Event::PoolMiss`]); shared with every gradient worker, so it
-    /// must be [`Sync`] (which the [`Sink`] trait requires).
+    /// [`Event::PoolMiss`]).
     sink: &'a dyn Sink,
 }
 
@@ -579,17 +543,14 @@ impl RolloutObjective<'_> {
         rollout_cost_with(self.plant, hees, self.loads, self.dt, self.config, z)
     }
 
-    /// Central differences over the coordinate window starting at `start`,
-    /// through one pooled workspace. Runs on the caller's thread — under
-    /// [`GradientMode::Parallel`] that is a scoped worker, so the
-    /// `rollout` span lands on that worker's lane.
-    fn gradient_window(&self, x: &[f64], grad_chunk: &mut [f64], start: usize) {
+    /// Central differences through one pooled workspace.
+    fn gradient_fd(&self, x: &[f64], grad: &mut [f64]) {
         let _rollout_span = span(self.sink, "rollout");
         let mut ws = self.pool.take(&self.plant.hees, self.sink);
         ws.xp.clear();
         ws.xp.extend_from_slice(x);
         let RolloutWorkspace { hees, xp, .. } = &mut ws;
-        NumericalGradient::central_range(xp, grad_chunk, start, |z| self.eval_with(hees, z));
+        NumericalGradient::central_in_place(xp, grad, |z| self.eval_with(hees, z));
         self.pool.put(ws);
     }
 
@@ -625,77 +586,19 @@ impl Objective for RolloutObjective<'_> {
         cost
     }
 
-    /// Batched line-search evaluation: all candidate rollouts advance in
-    /// lockstep through the structure-of-arrays kernel (`batch` module)
-    /// instead of looping [`Objective::value`]. Each lane runs the same
-    /// scalar step body, so per-lane costs are bit-identical to the
-    /// scalar path; only the traversal order (step-major instead of
-    /// lane-major) differs.
-    fn value_batch(&self, points: &[f64], m: usize, out: &mut [f64]) {
-        assert_eq!(
-            points.len(),
-            out.len() * m,
-            "batched point matrix must be lanes × m"
-        );
-        let _rollout_span = span(self.sink, "rollout");
-        let lanes = out.len();
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let RolloutWorkspace { hees, batch, .. } = &mut ws;
-        hees.restore(self.start);
-        self.pool
-            .rollouts
-            .fetch_add(lanes as u64, Ordering::Relaxed);
-        self.pool
-            .batched_rollouts
-            .fetch_add(lanes as u64, Ordering::Relaxed);
-        self.sink.record(Event::BatchEvaluated {
-            lanes: lanes as u64,
-            width: self.config.batch_line_search.max(lanes) as u64,
-        });
-        crate::batch::rollout_cost_batch_with(
-            self.plant,
-            hees,
-            self.loads,
-            self.dt,
-            self.config,
-            points,
-            lanes,
-            batch,
-            out,
-        );
-        self.pool.put(ws);
-    }
-
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         self.gradient_with(x, grad, self.config.gradient_mode);
     }
 
-    // Explicit impl so both modes run through pooled workspaces: the
-    // default parallel path would clone the perturbation point per call
-    // and the default serial path would deep-clone the plant per rollout.
+    // Explicit impl so every mode runs through pooled workspaces: the
+    // default finite-difference path would deep-clone the plant per
+    // rollout.
     fn gradient_with(&self, x: &[f64], grad: &mut [f64], mode: GradientMode) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        let n = x.len();
-        let threads = match mode {
-            GradientMode::Adjoint | GradientMode::GaussNewton => {
-                self.gradient_adjoint(x, grad);
-                return;
-            }
-            GradientMode::Serial => 1,
-            GradientMode::Parallel { threads } => {
-                otem_solver::resolve_threads(threads).clamp(1, n.max(1))
-            }
-        };
-        if threads <= 1 {
-            self.gradient_window(x, grad, 0);
-            return;
+        match mode {
+            GradientMode::Serial => self.gradient_fd(x, grad),
+            GradientMode::Adjoint | GradientMode::GaussNewton => self.gradient_adjoint(x, grad),
         }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (idx, grad_chunk) in grad.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || self.gradient_window(x, grad_chunk, idx * chunk));
-            }
-        });
     }
 }
 
@@ -1006,7 +909,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gradient_is_bit_identical_for_the_rollout_objective() {
+    fn pooled_gradient_is_bit_identical_to_the_clone_based_reference() {
         let config = SystemConfig::default();
         let mut p = plant(&config);
         p.hees.set_state(Ratio::new(0.8), Ratio::new(0.5));
@@ -1054,47 +957,6 @@ mod tests {
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "pooled serial gradient deviates from clone-based reference"
         );
-
-        for threads in [2, 3, 4, 16] {
-            let mut parallel = vec![0.0; dim];
-            objective.gradient_with(&z, &mut parallel, GradientMode::Parallel { threads });
-            assert_eq!(
-                parallel.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_solve_decisions_are_bit_identical_to_serial() {
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(36.0));
-        let loads: Vec<Watts> = (0..8)
-            .map(|k| Watts::new(if k >= 4 { 70_000.0 } else { 3_000.0 }))
-            .collect();
-        let mut serial_mpc = Mpc::new(MpcConfig {
-            horizon: 8,
-            ..MpcConfig::default()
-        });
-        let mut parallel_mpc = Mpc::new(MpcConfig {
-            horizon: 8,
-            gradient_mode: GradientMode::Parallel { threads: 4 },
-            ..MpcConfig::default()
-        });
-        // Several warm-started periods: divergence anywhere would compound.
-        for _ in 0..3 {
-            let a = serial_mpc.solve(&p, &loads, Seconds::new(1.0));
-            let b = parallel_mpc.solve(&p, &loads, Seconds::new(1.0));
-            assert_eq!(a.cap_bus.value().to_bits(), b.cap_bus.value().to_bits());
-            assert_eq!(a.cool_duty.to_bits(), b.cool_duty.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.iterations, b.iterations);
-            assert_eq!(a.outcome, b.outcome);
-        }
-        assert!(serial_mpc.rollouts() > 0);
-        assert_eq!(serial_mpc.rollouts(), parallel_mpc.rollouts());
     }
 
     #[test]
@@ -1235,34 +1097,6 @@ mod tests {
             sink.count_kind("span_start"),
             sink.count_kind("span_end"),
             "unbalanced span stream"
-        );
-    }
-
-    #[test]
-    fn parallel_gradient_rollout_spans_carry_distinct_lanes() {
-        use otem_telemetry::{Event as TEvent, MemorySink};
-        let config = SystemConfig::default();
-        let p = plant(&config);
-        let loads = vec![Watts::new(30_000.0); 6];
-        let mut mpc = Mpc::new(MpcConfig {
-            horizon: 6,
-            solver_iterations: 4,
-            gradient_mode: GradientMode::Parallel { threads: 4 },
-            ..MpcConfig::default()
-        });
-        let sink = MemorySink::new();
-        mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
-        let mut lanes = std::collections::BTreeSet::new();
-        for e in sink.events() {
-            if let TEvent::SpanStart { name, lane, .. } = e {
-                if name == "rollout" {
-                    lanes.insert(lane);
-                }
-            }
-        }
-        assert!(
-            lanes.len() >= 2,
-            "parallel gradient workers must appear on distinct lanes, got {lanes:?}"
         );
     }
 
@@ -1473,8 +1307,8 @@ mod tests {
             let d = mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
             assert!(d.cost.is_finite());
         }
-        // Adjoint mode is single-threaded: one workspace, allocated on
-        // first use and then recycled (the tape rides inside it).
+        // One workspace, allocated on first use and then recycled (the
+        // tape rides inside it).
         assert_eq!(sink.count_kind("pool_miss"), 1);
         assert!(sink.count_kind("pool_hit") > 0);
         // Telemetry keeps flowing unchanged through the same spans.
@@ -1732,66 +1566,5 @@ mod tests {
         let bad = rollout_cost(&p, &loads, Seconds::new(1.0), &cfg, &z);
         let good = rollout_cost(&p, &loads, Seconds::new(1.0), &cfg, &[0.0; 6]);
         assert!(bad > good, "shortfall not penalised: {bad} vs {good}");
-    }
-
-    /// Batched line search is an execution strategy, not a different
-    /// algorithm: for every gradient mode the decisions of a batched MPC
-    /// must be bit-identical to the scalar MPC's over a whole receding-
-    /// horizon run, and the batched-rollout counter must prove the
-    /// lockstep kernel actually ran.
-    #[test]
-    fn batched_line_search_solves_bit_identical_to_scalar() {
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(36.0));
-        let dt = Seconds::new(1.0);
-        let loads: Vec<Watts> = (0..8)
-            .map(|k| Watts::new(8_000.0 + 9_000.0 * (k % 3) as f64))
-            .collect();
-        for mode in [
-            GradientMode::Serial,
-            GradientMode::Adjoint,
-            GradientMode::GaussNewton,
-        ] {
-            for width in [2usize, 5] {
-                let mut scalar = Mpc::new(MpcConfig {
-                    horizon: 8,
-                    gradient_mode: mode,
-                    ..MpcConfig::default()
-                });
-                let mut batched = Mpc::new(MpcConfig {
-                    horizon: 8,
-                    gradient_mode: mode,
-                    batch_line_search: width,
-                    ..MpcConfig::default()
-                });
-                for _ in 0..3 {
-                    let a = scalar.solve(&p, &loads, dt);
-                    let b = batched.solve(&p, &loads, dt);
-                    assert_eq!(
-                        a.cap_bus.value().to_bits(),
-                        b.cap_bus.value().to_bits(),
-                        "cap_bus diverged ({mode:?}, width {width})"
-                    );
-                    assert_eq!(
-                        a.cool_duty.to_bits(),
-                        b.cool_duty.to_bits(),
-                        "cool_duty diverged ({mode:?}, width {width})"
-                    );
-                    assert_eq!(
-                        a.cost.to_bits(),
-                        b.cost.to_bits(),
-                        "cost diverged ({mode:?}, width {width})"
-                    );
-                    assert_eq!(a.iterations, b.iterations, "iterations ({mode:?})");
-                    assert_eq!(a.outcome, b.outcome, "outcome ({mode:?})");
-                }
-                assert_eq!(scalar.batched_rollouts(), 0, "scalar MPC must not batch");
-                assert!(
-                    batched.batched_rollouts() > 0,
-                    "batched kernel never ran ({mode:?}, width {width})"
-                );
-            }
-        }
     }
 }

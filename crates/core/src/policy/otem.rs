@@ -53,9 +53,16 @@ impl Otem {
     ///
     /// # Errors
     ///
-    /// Propagates component validation errors.
+    /// Propagates component validation errors, and returns
+    /// [`OtemError::InvalidConfig`] for a zero-length horizon.
     pub fn with_mpc(config: &SystemConfig, mpc_config: MpcConfig) -> Result<Self, OtemError> {
         config.validate()?;
+        if mpc_config.horizon == 0 {
+            return Err(OtemError::InvalidConfig {
+                field: "horizon",
+                constraint: ">= 1 step",
+            });
+        }
         let battery = BatteryPack::new(config.cell.clone(), config.pack)?;
         let mut hees = HybridHees::new(
             battery,
@@ -292,6 +299,21 @@ mod tests {
             solver_iterations: 15,
             ..MpcConfig::default()
         }
+    }
+
+    #[test]
+    fn zero_horizon_is_rejected() {
+        let mpc = MpcConfig {
+            horizon: 0,
+            ..short_mpc()
+        };
+        assert!(matches!(
+            Otem::with_mpc(&SystemConfig::default(), mpc),
+            Err(OtemError::InvalidConfig {
+                field: "horizon",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl Simulator {
 
     /// A suspended run at step zero: the step loop of
     /// [`Simulator::run_each`] handed out one [`RunCursor::advance`] at
-    /// a time, so a caller can interleave several vehicles' steps
-    /// (the fleet engine's lockstep batches). A fully drained cursor
+    /// a time, so a caller can time or inspect each period on its own.
+    /// A fully drained cursor
     /// produces [`RunTotals`] bit-identical to [`Simulator::run_each`]
     /// — the advance body *is* `run_each`'s loop body.
     pub fn cursor(&self) -> RunCursor {
@@ -122,9 +122,8 @@ impl Simulator {
 
 /// The resumable step loop of [`Simulator::run_each`]: holds exactly
 /// the loop state (`t` and the aging integrator) plus the forecast
-/// buffer it lends the controller each step, borrowing nothing, so a
-/// batch of cursors can be advanced in lockstep against their own
-/// controllers and traces.
+/// buffer it lends the controller each step, borrowing nothing, so the
+/// caller keeps the controller and trace between steps.
 #[derive(Debug)]
 pub struct RunCursor {
     aging: AgingModel,

@@ -1,4 +1,4 @@
-//! Fleet-scale batched simulation for the OTEM reproduction.
+//! Fleet-scale campaign simulation for the OTEM reproduction.
 //!
 //! PR 5's adjoint gradients brought a full MPC solve down to the
 //! sub-millisecond range, which makes serving *fleets* realistic: this
@@ -15,7 +15,7 @@
 //! |--------|----------|
 //! | [`campaign`] | [`VehicleSpec`] / [`Campaign`]: deterministic heterogeneous fleets |
 //! | [`pool`] | generic fans: statically chunked and work-stealing worker pools |
-//! | [`engine`] | [`FleetEngine`]: batched campaign execution + per-vehicle panic containment |
+//! | [`engine`] | [`FleetEngine`]: sharded campaign execution + per-vehicle panic containment |
 //! | [`queue`] | [`BoundedQueue`]: the std-only bounded MPMC hand-off behind the server |
 //! | [`protocol`] | minimal JSON field extraction + JSONL response rendering |
 //! | [`server`] | [`FleetServer`]: the hardened `simulate`/`plan` serving layer (worker pool, load shedding, socket deadlines, graceful drain) |

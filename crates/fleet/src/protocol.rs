@@ -149,6 +149,24 @@ fn parse_deadline_us(body: &str) -> Result<u64, ParseError> {
     Ok(us)
 }
 
+/// Largest accepted `mpc_horizon`: the MPC allocates and rolls out a
+/// `2·horizon` decision vector per solve, so the wire value is bounded
+/// before it reaches an allocator.
+const MAX_MPC_HORIZON: u64 = 256;
+
+/// Largest accepted `mpc_iterations` (solver iterations per solve).
+const MAX_MPC_ITERATIONS: u64 = 1_000;
+
+/// Extracts an optional count field, defaulting when absent and
+/// rejecting values outside `1..=max`.
+fn parse_count(body: &str, key: &str, default: u64, max: u64) -> Result<usize, ParseError> {
+    let n = json_u64(body, key).unwrap_or(default);
+    if !(1..=max).contains(&n) {
+        return Err(format!("\"{key}\" must be in 1..={max}"));
+    }
+    Ok(n as usize)
+}
+
 impl SimulateRequest {
     /// Parses a request body. A body with a `"vehicles"` count is a
     /// fleet request; anything else is a single vehicle with defaults
@@ -218,8 +236,8 @@ impl SimulateRequest {
                 ambient_c,
                 capacitance_f,
                 methodology,
-                mpc_horizon: json_u64(body, "mpc_horizon").unwrap_or(8) as usize,
-                mpc_iterations: json_u64(body, "mpc_iterations").unwrap_or(12) as usize,
+                mpc_horizon: parse_count(body, "mpc_horizon", 8, MAX_MPC_HORIZON)?,
+                mpc_iterations: parse_count(body, "mpc_iterations", 12, MAX_MPC_ITERATIONS)?,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_step: None,
             },
@@ -385,6 +403,29 @@ mod tests {
         assert!(SimulateRequest::parse("{\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"poison_id\":4}").is_err());
+        for bad in [
+            "{\"mpc_horizon\":0}",
+            "{\"mpc_horizon\":257}",
+            "{\"mpc_horizon\":100000000000}",
+            "{\"mpc_iterations\":0}",
+            "{\"mpc_iterations\":1001}",
+        ] {
+            assert!(SimulateRequest::parse(bad).is_err(), "{bad} accepted");
+        }
+        for (body, horizon, iterations) in [
+            ("{\"mpc_horizon\":1,\"mpc_iterations\":1}", 1, 1),
+            ("{\"mpc_horizon\":256,\"mpc_iterations\":1000}", 256, 1000),
+        ] {
+            match SimulateRequest::parse(body).expect("boundary values parse") {
+                SimulateRequest::Vehicle { spec, .. } => {
+                    assert_eq!(
+                        (spec.mpc_horizon, spec.mpc_iterations),
+                        (horizon, iterations)
+                    );
+                }
+                other => panic!("expected vehicle, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! # Observability
 //!
 //! Every serving-layer counter lives in a [`MetricsRegistry`] and is
-//! exposed on `GET /metrics` as Prometheus v0.0.4 text (the legacy JSON
-//! blob moved to `GET /metrics.json`): request/shed/timeout/panic
+//! exposed on `GET /metrics` as Prometheus v0.0.4 text: request/shed/timeout/panic
 //! totals, in-flight and uptime gauges, `otem_build_info`, per-route
 //! request-latency histograms, MPC solve outcomes by gradient mode, and
 //! trace-cache plus JSONL-drop counters. Each accepted connection mints
@@ -50,7 +49,6 @@
 //! |-------|------|----------|
 //! | `GET /healthz` | — | one status line |
 //! | `GET /metrics` | — | Prometheus v0.0.4 text exposition of the registry |
-//! | `GET /metrics.json` | — | request/shed/timeout/panic counters + latency quantiles (one JSON line) |
 //! | `GET /debug/flight` | — | frozen flight-recorder dump if an incident occurred, else the live ring |
 //! | `GET /debug/trace?sample=N` | — | arms 1-in-N span sampling; streams sampled spans |
 //! | `POST /simulate` | [`SimulateRequest`] JSON | JSONL summaries (fleet) or telemetry stream + summary (vehicle) |
@@ -62,7 +60,7 @@
 //! so clients just read lines until EOF.
 
 use crate::campaign::{Campaign, SummaryBuilder, TraceCache, VehicleSpec};
-use crate::engine::{latency_histogram_ms, FleetEngine, OutcomeTally};
+use crate::engine::FleetEngine;
 use crate::protocol::{failure_line, outcomes_json, summary_line, SimulateRequest, Telemetry};
 use crate::queue::{BoundedQueue, PushError};
 use otem::planner::{plan_split, PlannerConfig};
@@ -131,11 +129,6 @@ pub struct ServerConfig {
     /// in memory only, where `GET /debug/flight` serves the most
     /// recent one.
     pub flight_dir: String,
-    /// Lockstep batch width for fleet requests (see
-    /// [`FleetEngine::with_batch_lanes`]): `0` (the default) runs the
-    /// scalar per-vehicle path; `≥ 2` advances that many vehicles per
-    /// shard in lockstep, with identical summaries and checksums.
-    pub batch_lanes: usize,
 }
 
 impl Default for ServerConfig {
@@ -152,7 +145,6 @@ impl Default for ServerConfig {
             write_timeout_ms: 2_000,
             drain_deadline_ms: 5_000,
             flight_dir: String::new(),
-            batch_lanes: 0,
         }
     }
 }
@@ -162,12 +154,6 @@ impl Default for ServerConfig {
 const SOLVE_OUTCOME_HELP: &str = "MPC solve outcomes by gradient mode across every request served.";
 const LATENCY_HELP: &str = "End-to-end request latency (queue wait included) by route.";
 const FLIGHT_DUMPS_HELP: &str = "Flight-recorder dumps frozen, by trigger event.";
-const BATCHED_ROLLOUTS_HELP: &str =
-    "Lanes evaluated through the lockstep batched rollout kernel (line-search candidates and fleet vehicles alike).";
-const BATCH_OCCUPANCY_HELP: &str =
-    "Occupied lanes per batched evaluation; counts below the configured width expose partially-full batches.";
-/// Bucket bounds (lane counts) for `otem_rollout_batch_occupancy`.
-const OCCUPANCY_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Shared mutable server state (metrics + shutdown flag).
 struct ServerState {
@@ -180,8 +166,7 @@ struct ServerState {
     sink: Arc<dyn Sink + Send + Sync>,
     /// The unified metric registry behind `/metrics`. Every named
     /// counter below is a child of one of its families, so the ad-hoc
-    /// accessors, the JSON blob and the Prometheus exposition all read
-    /// the same atomics.
+    /// accessors and the Prometheus exposition read the same atomics.
     registry: Arc<MetricsRegistry>,
     /// Always-on ring of recent telemetry; freezes on contained panics
     /// and supervisor fallbacks (see [`FlightRecorder`]).
@@ -226,10 +211,6 @@ struct ServerState {
     /// Live shedder threads (see [`shed_connection`]); capped so a shed
     /// storm cannot become a thread-spawn storm.
     shedders: AtomicU64,
-    latency_ms: Histogram,
-    /// MPC solve outcomes across every request served so far (fleet and
-    /// single-vehicle alike) — exported on `/metrics.json`.
-    solves: OutcomeTally,
     shutdown: AtomicBool,
     /// The bound address, set at bind time — lets the `/shutdown`
     /// handler (running on a worker) wake the blocking accept loop with
@@ -251,19 +232,6 @@ impl ServerState {
                     &[("mode", mode), ("outcome", outcome)],
                 )
                 .inc();
-        }
-        if let Event::BatchEvaluated { lanes, .. } = event {
-            self.registry
-                .counter("otem_batched_rollouts_total", BATCHED_ROLLOUTS_HELP, &[])
-                .add(lanes);
-            self.registry
-                .histogram(
-                    "otem_rollout_batch_occupancy",
-                    BATCH_OCCUPANCY_HELP,
-                    &[],
-                    OCCUPANCY_BOUNDS,
-                )
-                .observe(lanes as f64);
         }
     }
 
@@ -497,8 +465,6 @@ impl FleetServer {
                 config,
                 in_flight: AtomicU64::new(0),
                 shedders: AtomicU64::new(0),
-                latency_ms: latency_histogram_ms(),
-                solves: OutcomeTally::new(),
                 shutdown: AtomicBool::new(false),
                 addr: OnceLock::new(),
             }),
@@ -752,7 +718,6 @@ fn serve_job(state: &Arc<ServerState>, job: Job) {
         }
     };
     let elapsed_s = job.accepted.elapsed().as_secs_f64();
-    state.latency_ms.observe(elapsed_s * 1e3);
     state.route_latency(route).observe(elapsed_s);
     state.in_flight.fetch_sub(1, Ordering::Relaxed);
     if let Some(dump) = state.recorder.take_dump() {
@@ -828,7 +793,6 @@ fn route_name(method: &str, path: &str) -> &'static str {
     match (method, path) {
         ("GET", "/healthz") => "/healthz",
         ("GET", "/metrics") => "/metrics",
-        ("GET", "/metrics.json") => "/metrics.json",
         ("GET", "/debug/flight") => "/debug/flight",
         ("GET", "/debug/trace") => "/debug/trace",
         ("POST", "/shutdown") => "/shutdown",
@@ -949,7 +913,6 @@ fn handle_connection(
             stream.flush()?;
             Ok(200)
         }
-        ("GET", "/metrics.json") => respond_line(stream, &metrics_line(state)),
         ("GET", "/debug/flight") => flight_route(state, stream),
         ("GET", "/debug/trace") => trace_route(state, stream, query),
         ("POST", "/shutdown") => {
@@ -1043,32 +1006,9 @@ fn write_entries(stream: &mut TcpStream, entries: &[FlightEntry]) -> io::Result<
     Ok(())
 }
 
-fn metrics_line(state: &ServerState) -> String {
-    format!(
-        "{{\"event\":\"metrics\",\"requests\":{},\"errors\":{},\
-         \"accept_errors\":{},\"shed\":{},\"timeouts\":{},\"panics\":{},\
-         \"vehicle_panics\":{},\"in_flight\":{},\
-         \"latency_ms\":{{\"count\":{},\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3}}},\
-         \"solves\":{}}}",
-        state.requests.get(),
-        state.errors.get(),
-        state.accept_errors.get(),
-        state.shed.get(),
-        state.timeouts.get(),
-        state.panics.get(),
-        state.vehicle_panics.get(),
-        state.in_flight.load(Ordering::Relaxed),
-        state.latency_ms.count(),
-        state.latency_ms.quantile(0.50),
-        state.latency_ms.quantile(0.95),
-        state.latency_ms.quantile(0.99),
-        outcomes_json(&state.solves.snapshot()),
-    )
-}
-
 /// Forwards events to a per-request sink while tallying MPC solve
-/// outcomes into the server-lifetime [`OutcomeTally`], the registry's
-/// `(mode, outcome)` family, and the flight recorder. `enabled` defers
+/// outcomes into the registry's `(mode, outcome)` family and feeding
+/// the flight recorder. `enabled` defers
 /// to the inner sink (so streaming telemetry modes keep their derived
 /// events) or to span sampling when `/debug/trace` armed it.
 struct TallySink<'a> {
@@ -1078,7 +1018,6 @@ struct TallySink<'a> {
 
 impl Sink for TallySink<'_> {
     fn record(&self, event: Event) {
-        self.state.solves.record(event);
         self.state.observe(event);
         self.inner.record(event);
     }
@@ -1241,8 +1180,7 @@ fn simulate(
                 return respond_error(stream, 400, &format!("\"vehicles\" capped at {cap}"));
             }
             let schedule = request.schedule(state.config.shards);
-            let engine = FleetEngine::with_cache(schedule, Arc::clone(&state.cache))
-                .with_batch_lanes(state.config.batch_lanes);
+            let engine = FleetEngine::with_cache(schedule, Arc::clone(&state.cache));
             let mut campaign = Campaign::synthetic(*vehicles, *seed);
             if *mpc_deadline_us > 0 {
                 // A request-level deadline caps every solve in the
@@ -1260,7 +1198,6 @@ fn simulate(
             }
             let ops = OpsSink { state };
             let report = engine.run_with_request(&campaign, &ops, request_id);
-            state.solves.add(report.solve_outcomes);
             state.vehicle_panics.add(report.vehicle_panics());
             let mut stream = stream;
             write_head(&mut stream, 200, "OK")?;

@@ -86,13 +86,6 @@ pub struct GaussNewton {
     /// [`SolverOutcome::Converged`] instead of escalating damping
     /// toward a spurious stall.
     pub ftol: f64,
-    /// Line-search batching width: `0` or `1` runs the scalar Armijo
-    /// backtracking ladder; `≥ 2` speculatively evaluates groups of
-    /// that many step-size candidates through one
-    /// [`Objective::value_batch`] call and scans them in ladder order
-    /// with the identical acceptance test — bit-identical iterates,
-    /// fewer (amortised) evaluation passes.
-    pub batch_width: usize,
 }
 
 impl Default for GaussNewton {
@@ -105,7 +98,6 @@ impl Default for GaussNewton {
             lambda_min: 1e-12,
             lambda_max: 1e10,
             ftol: 1e-12,
-            batch_width: 0,
         }
     }
 }
@@ -128,7 +120,7 @@ impl GaussNewton {
 
     /// The full entry point: telemetry plus an optional [`Deadline`].
     /// Deadline semantics match
-    /// [`ProjectedGradient::minimize_sync_within`](crate::ProjectedGradient::minimize_sync_within):
+    /// [`ProjectedGradient::minimize_within`](crate::ProjectedGradient::minimize_within):
     /// polled once per outer iteration after the convergence check; on
     /// expiry the best iterate seen so far is returned with
     /// [`SolverOutcome::DeadlineReached`] (for a zero budget, the
@@ -161,7 +153,6 @@ impl GaussNewton {
             f.gradient_and_curvature(x, grad, hess);
             sink.record(Event::GradientEval {
                 dim: grad.len() as u64,
-                threads: 1,
             });
         };
         eval_pair(&x, &mut grad, &mut hess);
@@ -180,17 +171,6 @@ impl GaussNewton {
         let mut trial = vec![0.0; n];
         let mut s = vec![0.0; n];
         let mut grad_prev = vec![0.0; n];
-        // Batched-ladder scratch, allocated once and only when batching
-        // is on.
-        let batch = self.batch_width;
-        let mut cand_pts = Vec::new();
-        let mut cand_dec = Vec::new();
-        let mut cand_val = Vec::new();
-        if batch >= 2 {
-            cand_pts.reserve(batch * n);
-            cand_dec.reserve(batch);
-            cand_val.reserve(batch);
-        }
 
         for iter in 0..self.max_iterations {
             let _iter_span = span(sink, "iteration");
@@ -268,74 +248,25 @@ impl GaussNewton {
             let mut full_step = false;
             let mut f_trial = value;
             let mut decrease0 = 0.0;
-            if batch >= 2 {
-                // Speculative batched ladder: the scalar halving ladder's
-                // candidates in groups of `batch`, evaluated through one
-                // `value_batch` call and scanned in ladder order with the
-                // identical acceptance test — the accepted point (left in
-                // `trial`, which the trust-ratio update reads) is the one
-                // the scalar loop would pick, bit for bit.
-                let mut tried = 0usize;
-                'ladder: while tried < 30 {
-                    cand_pts.clear();
-                    cand_dec.clear();
-                    for _ in 0..batch {
-                        if tried == 30 {
-                            break;
-                        }
-                        for i in 0..n {
-                            trial[i] = x[i] + alpha * p[i];
-                        }
-                        bounds.project(&mut trial);
-                        let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
-                        if tried == 0 {
-                            decrease0 = decrease;
-                        }
-                        cand_pts.extend_from_slice(&trial);
-                        cand_dec.push(decrease);
-                        tried += 1;
-                        alpha *= 0.5;
-                    }
-                    if cand_dec.is_empty() {
-                        break;
-                    }
-                    cand_val.clear();
-                    cand_val.resize(cand_dec.len(), 0.0);
-                    f.value_batch(&cand_pts, n, &mut cand_val);
-                    for (j, (&f_t, &decrease)) in cand_val.iter().zip(&cand_dec).enumerate() {
-                        if f_t.is_finite()
-                            && decrease > 0.0
-                            && f_t <= value - self.armijo * decrease
-                        {
-                            accepted = true;
-                            full_step = tried - cand_dec.len() + j == 0;
-                            f_trial = f_t;
-                            trial.copy_from_slice(&cand_pts[j * n..(j + 1) * n]);
-                            break 'ladder;
-                        }
-                    }
+            for ls_iter in 0..30 {
+                for i in 0..n {
+                    trial[i] = x[i] + alpha * p[i];
                 }
-            } else {
-                for ls_iter in 0..30 {
-                    for i in 0..n {
-                        trial[i] = x[i] + alpha * p[i];
-                    }
-                    bounds.project(&mut trial);
-                    let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
-                    if ls_iter == 0 {
-                        decrease0 = decrease;
-                    }
-                    f_trial = f.value(&trial);
-                    if f_trial.is_finite()
-                        && decrease > 0.0
-                        && f_trial <= value - self.armijo * decrease
-                    {
-                        accepted = true;
-                        full_step = ls_iter == 0;
-                        break;
-                    }
-                    alpha *= 0.5;
+                bounds.project(&mut trial);
+                let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
+                if ls_iter == 0 {
+                    decrease0 = decrease;
                 }
+                f_trial = f.value(&trial);
+                if f_trial.is_finite()
+                    && decrease > 0.0
+                    && f_trial <= value - self.armijo * decrease
+                {
+                    accepted = true;
+                    full_step = ls_iter == 0;
+                    break;
+                }
+                alpha *= 0.5;
             }
             line_search.close();
             if !accepted {
@@ -556,7 +487,7 @@ mod tests {
         let bounds = Bounds::uniform(3, -2.0, 2.0);
         let x0 = [1.5, 1.5, -1.5];
         let gn = GaussNewton::default().minimize(&f, &bounds, &x0);
-        let pg = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let pg = ProjectedGradient::default().minimize(&f, &bounds, &x0);
         assert_eq!(gn.outcome, SolverOutcome::Converged, "{gn:?}");
         assert_eq!(pg.outcome, SolverOutcome::Converged, "{pg:?}");
         for (a, b) in gn.x.iter().zip(&pg.x) {
@@ -577,7 +508,7 @@ mod tests {
         let bounds = Bounds::uniform(3, -1.0, 1.0);
         let x0 = [-0.8, 0.8, -0.8];
         let gn = GaussNewton::default().minimize(&f, &bounds, &x0);
-        let pg = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let pg = ProjectedGradient::default().minimize(&f, &bounds, &x0);
         assert_eq!(gn.outcome, SolverOutcome::Converged, "{gn:?}");
         for (a, want) in gn.x.iter().zip([0.9, -0.4, 0.2]) {
             assert!((a - want).abs() < 1e-8, "{gn:?}");
@@ -597,7 +528,7 @@ mod tests {
         let f = bowl(&[50.0, 1.0], &[3.0, -2.0]);
         let bounds = Bounds::uniform(2, -1.0, 1.0);
         let gn = GaussNewton::default().minimize(&f, &bounds, &[0.0, 0.0]);
-        let pg = ProjectedGradient::default().minimize_sync(&f, &bounds, &[0.0, 0.0]);
+        let pg = ProjectedGradient::default().minimize(&f, &bounds, &[0.0, 0.0]);
         assert_eq!(gn.outcome, SolverOutcome::Converged, "{gn:?}");
         assert!((gn.x[0] - 1.0).abs() < 1e-8 && (gn.x[1] + 1.0).abs() < 1e-8);
         for (a, b) in gn.x.iter().zip(&pg.x) {
@@ -713,34 +644,6 @@ mod tests {
         // event count is at least that.
         assert!(sink.count_kind("solver_iteration") > gn.iterations);
         assert!(sink.count_kind("gradient_eval") >= 1);
-    }
-
-    #[test]
-    fn batched_line_search_is_bit_identical_to_scalar() {
-        // Box clamps force backtracking, exercising multi-rung ladders.
-        let f = bowl(&[1.0, 100.0, 10_000.0], &[0.9, -0.4, 0.2]);
-        let bounds = Bounds::uniform(3, -1.0, 1.0);
-        let x0 = [-0.8, 0.8, -0.8];
-        let scalar = GaussNewton::default().minimize(&f, &bounds, &x0);
-        for width in [2, 4, 7] {
-            let solver = GaussNewton {
-                batch_width: width,
-                ..GaussNewton::default()
-            };
-            let batched = solver.minimize(&f, &bounds, &x0);
-            assert_eq!(batched.iterations, scalar.iterations, "width = {width}");
-            assert_eq!(batched.outcome, scalar.outcome, "width = {width}");
-            assert_eq!(
-                batched.value.to_bits(),
-                scalar.value.to_bits(),
-                "width = {width}"
-            );
-            assert_eq!(
-                batched.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                scalar.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "width = {width}"
-            );
-        }
     }
 
     #[test]

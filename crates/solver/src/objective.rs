@@ -3,27 +3,13 @@
 use serde::{Deserialize, Serialize};
 
 /// How a solver evaluates gradients.
-///
-/// Central finite differences evaluate each coordinate independently, so
-/// the work parallelises with **bit-identical** results: every coordinate
-/// performs the same two evaluations at the same perturbed points whether
-/// it runs on one thread or many. [`GradientMode::Parallel`] fans the
-/// coordinates out across scoped threads ([`std::thread::scope`] — no
-/// runtime dependency) and is worthwhile when a single objective
-/// evaluation is expensive, as with the MPC rollout objective.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GradientMode {
-    /// Evaluate coordinates one at a time on the calling thread.
+    /// Central finite differences, one coordinate at a time
+    /// ([`NumericalGradient`]), unless the objective has an analytic
+    /// [`Objective::gradient`].
     #[default]
     Serial,
-    /// Fan coordinates out across `threads` scoped worker threads.
-    ///
-    /// `threads` is clamped to `[1, dim]`; `threads <= 1` degenerates to
-    /// the serial path.
-    Parallel {
-        /// Worker-thread count for the coordinate fan-out.
-        threads: usize,
-    },
     /// Reverse-mode (adjoint) analytic gradient: one taped forward
     /// rollout plus one backward sweep, independent of the decision
     /// dimension — `O(1)` objective evaluations per gradient instead of
@@ -44,41 +30,13 @@ pub enum GradientMode {
     GaussNewton,
 }
 
-/// Resolves a configured worker-thread count: `0` means "use every
-/// available core" ([`std::thread::available_parallelism`], falling
-/// back to 1 where the parallelism is unknown); any other value is
-/// taken as-is. Shared by [`GradientMode::Parallel`] and the fan-out
-/// helpers so a zero width consistently auto-sizes to the machine.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 impl GradientMode {
-    /// Worker threads this mode fans a gradient out across (1 for the
-    /// serial path) — the figure telemetry reports per
-    /// [`GradientEval`](otem_telemetry::Event::GradientEval).
-    /// A configured width of `0` resolves to the machine's available
-    /// parallelism (see [`resolve_threads`]).
-    pub fn worker_threads(&self) -> usize {
-        match self {
-            GradientMode::Serial | GradientMode::Adjoint | GradientMode::GaussNewton => 1,
-            GradientMode::Parallel { threads } => resolve_threads(*threads),
-        }
-    }
-
     /// Stable snake_case mode name — the `mode` label on solve-outcome
     /// telemetry and the `otem_solve_outcome_total{mode,outcome}`
     /// metric family.
     pub const fn name(&self) -> &'static str {
         match self {
             GradientMode::Serial => "serial",
-            GradientMode::Parallel { .. } => "parallel",
             GradientMode::Adjoint => "adjoint",
             GradientMode::GaussNewton => "gauss_newton",
         }
@@ -104,52 +62,13 @@ pub trait Objective {
 
     /// Writes `∇f(x)` into `grad` using the requested [`GradientMode`].
     ///
-    /// The default dispatches [`GradientMode::Serial`] to
-    /// [`Objective::gradient`] (which may be analytic) and
-    /// [`GradientMode::Parallel`] to
-    /// [`NumericalGradient::central_parallel`]. Types with analytic
-    /// gradients should override this to keep the analytic path in both
-    /// modes (see [`FnObjectiveWithGrad`]); types that own evaluation
-    /// scratch state can override it to route each worker thread through
-    /// its own workspace.
-    fn gradient_with(&self, x: &[f64], grad: &mut [f64], mode: GradientMode)
-    where
-        Self: Sized + Sync,
-    {
-        match mode {
-            GradientMode::Serial | GradientMode::Adjoint | GradientMode::GaussNewton => {
-                self.gradient(x, grad);
-            }
-            GradientMode::Parallel { threads } => {
-                NumericalGradient::central_parallel(self, x, grad, threads);
-            }
-        }
-    }
-
-    /// Evaluates the objective at several points in one call: `points`
-    /// holds the lane-major flat matrix (`lanes × m`, lane `l` at
-    /// `points[l·m .. (l+1)·m]`), and one value per lane is written to
-    /// `out`.
-    ///
-    /// The default loops over [`Objective::value`]; implementations
-    /// with a cheaper lockstep path (e.g. the MPC rollout objective's
-    /// structure-of-arrays kernel) override this. Every lane must
-    /// return **exactly** what a scalar [`Objective::value`] of that
-    /// lane would — solvers rely on this to keep batched line searches
-    /// bit-identical to scalar ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len() * m`.
-    fn value_batch(&self, points: &[f64], m: usize, out: &mut [f64]) {
-        assert_eq!(
-            points.len(),
-            out.len() * m,
-            "batched point matrix must be lanes × m"
-        );
-        for (z, o) in points.chunks_exact(m).zip(out.iter_mut()) {
-            *o = self.value(z);
-        }
+    /// The default ignores the mode and calls [`Objective::gradient`]
+    /// (which may be analytic). Objectives with an adjoint gradient
+    /// (e.g. the MPC rollout objective) override this to route
+    /// [`GradientMode::Adjoint`] and [`GradientMode::GaussNewton`]
+    /// through it.
+    fn gradient_with(&self, x: &[f64], grad: &mut [f64], _mode: GradientMode) {
+        self.gradient(x, grad);
     }
 }
 
@@ -160,10 +79,10 @@ impl<T: Objective + ?Sized> Objective for &T {
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         (**self).gradient(x, grad);
     }
-    // Forwarded explicitly: solvers see objectives through `&T`, and the
-    // default would silently hide an underlying batched override.
-    fn value_batch(&self, points: &[f64], m: usize, out: &mut [f64]) {
-        (**self).value_batch(points, m, out);
+    // Forwarded explicitly: the default would hide an underlying
+    // adjoint override behind the finite-difference gradient.
+    fn gradient_with(&self, x: &[f64], grad: &mut [f64], mode: GradientMode) {
+        (**self).gradient_with(x, grad, mode);
     }
 }
 
@@ -237,15 +156,6 @@ impl<F: Fn(&[f64]) -> f64, G: Fn(&[f64], &mut [f64])> Objective for FnObjectiveW
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         (self.g)(x, grad);
     }
-
-    // The analytic gradient is cheaper than any finite-difference fan-out;
-    // use it regardless of the requested mode.
-    fn gradient_with(&self, x: &[f64], grad: &mut [f64], _mode: GradientMode)
-    where
-        Self: Sized + Sync,
-    {
-        (self.g)(x, grad);
-    }
 }
 
 /// Central finite-difference gradient helper.
@@ -264,39 +174,25 @@ impl NumericalGradient {
     pub fn central<F: Objective + ?Sized>(f: &F, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         let mut xp = x.to_vec();
-        Self::central_range(&mut xp, grad, 0, |z| f.value(z));
+        Self::central_in_place(&mut xp, grad, |z| f.value(z));
     }
 
-    /// Central-difference kernel over the coordinate window
-    /// `[start, start + grad.len())`.
+    /// Central-difference kernel with caller-owned scratch.
     ///
-    /// `xp` is a scratch copy of the full evaluation point; it is
-    /// perturbed one coordinate at a time and restored exactly, so after
-    /// the call it again equals the input point bit-for-bit. Both the
-    /// serial and the parallel gradient paths funnel through this one
-    /// kernel, which is what makes them bit-identical: a coordinate's
-    /// two evaluations and the `(fp - fm) / (2h)` quotient do not depend
-    /// on which thread runs them.
+    /// `xp` is a scratch copy of the evaluation point; it is perturbed
+    /// one coordinate at a time and restored exactly, so after the call
+    /// it again equals the input point bit-for-bit.
     ///
     /// `eval` is `FnMut` so callers can route evaluations through
-    /// per-thread mutable scratch state (e.g. a reusable plant model)
-    /// without interior mutability.
+    /// mutable scratch state (e.g. a reusable plant model) without
+    /// interior mutability.
     ///
     /// # Panics
     ///
-    /// Panics if the window `[start, start + grad.len())` exceeds `xp`.
-    pub fn central_range(
-        xp: &mut [f64],
-        grad: &mut [f64],
-        start: usize,
-        mut eval: impl FnMut(&[f64]) -> f64,
-    ) {
-        assert!(
-            start + grad.len() <= xp.len(),
-            "gradient window exceeds point dimension"
-        );
-        for (k, g) in grad.iter_mut().enumerate() {
-            let i = start + k;
+    /// Panics if `grad.len() != xp.len()`.
+    pub fn central_in_place(xp: &mut [f64], grad: &mut [f64], mut eval: impl FnMut(&[f64]) -> f64) {
+        assert_eq!(grad.len(), xp.len(), "gradient buffer length mismatch");
+        for (i, g) in grad.iter_mut().enumerate() {
             let orig = xp[i];
             let h = Self::REL_STEP * orig.abs().max(1.0);
             xp[i] = orig + h;
@@ -306,43 +202,6 @@ impl NumericalGradient {
             xp[i] = orig;
             *g = (fp - fm) / (2.0 * h);
         }
-    }
-
-    /// Central-difference gradient with the coordinates fanned out
-    /// across `threads` scoped threads.
-    ///
-    /// Coordinates are split into contiguous chunks, one chunk per
-    /// worker; each worker clones the evaluation point once and runs
-    /// [`NumericalGradient::central_range`] over its window. The result
-    /// is **bit-identical** to [`NumericalGradient::central`] for any
-    /// thread count. `threads` is clamped to `[1, x.len()]`, and
-    /// `threads <= 1` short-circuits to the serial path (no spawn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != x.len()`.
-    pub fn central_parallel<F: Objective + Sync + ?Sized>(
-        f: &F,
-        x: &[f64],
-        grad: &mut [f64],
-        threads: usize,
-    ) {
-        assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        let n = x.len();
-        let threads = resolve_threads(threads).clamp(1, n.max(1));
-        if threads <= 1 {
-            Self::central(f, x, grad);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (idx, grad_chunk) in grad.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut xp = x.to_vec();
-                    Self::central_range(&mut xp, grad_chunk, idx * chunk, |z| f.value(z));
-                });
-            }
-        });
     }
 }
 
@@ -397,38 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gradient_is_bit_identical_to_serial() {
-        // A mildly nasty function: cross terms and transcendentals, so any
-        // deviation in evaluation points or reduction order would show up.
-        let f = FnObjective::new(|x: &[f64]| {
-            x.iter()
-                .enumerate()
-                .map(|(i, &xi)| (xi * (i as f64 + 0.3)).sin() + xi * xi)
-                .sum::<f64>()
-                + x.windows(2).map(|w| w[0] * w[1]).sum::<f64>()
-        });
-        let x: Vec<f64> = (0..17).map(|i| (i as f64 - 8.0) * 0.37).collect();
-        let mut serial = vec![0.0; x.len()];
-        NumericalGradient::central(&f, &x, &mut serial);
-        for threads in [1, 2, 3, 4, 16, 64] {
-            let mut parallel = vec![0.0; x.len()];
-            NumericalGradient::central_parallel(&f, &x, &mut parallel, threads);
-            assert_eq!(
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                parallel.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn gradient_with_dispatches_modes() {
         let f = FnObjective::new(|x: &[f64]| x.iter().map(|v| v * v * v).sum());
         let x = [0.5, -1.25, 2.0];
-        let (mut serial, mut parallel) = ([0.0; 3], [0.0; 3]);
+        let mut serial = [0.0; 3];
         f.gradient_with(&x, &mut serial, GradientMode::Serial);
-        f.gradient_with(&x, &mut parallel, GradientMode::Parallel { threads: 2 });
-        assert_eq!(serial, parallel);
         // Without an adjoint implementation, Adjoint falls back to the
         // (possibly analytic) serial gradient.
         let mut adjoint = [0.0; 3];
@@ -441,25 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn analytic_gradient_survives_parallel_mode() {
-        let f = FnObjectiveWithGrad::new(
-            |x: &[f64]| x[0] * x[0],
-            |x: &[f64], g: &mut [f64]| g[0] = 2.0 * x[0],
-        );
-        let mut grad = [0.0];
-        f.gradient_with(&[3.0], &mut grad, GradientMode::Parallel { threads: 4 });
-        // Exactly 6.0: the analytic path must not fall back to finite
-        // differences just because a parallel mode was requested.
-        assert_eq!(grad[0], 6.0);
-    }
-
-    #[test]
-    fn central_range_restores_scratch_point() {
+    fn central_in_place_restores_scratch_point() {
         let x = [1.0, -2.0, 3.5];
         let mut xp = x.to_vec();
-        let mut grad = [0.0; 2];
-        NumericalGradient::central_range(&mut xp, &mut grad, 1, |z| z.iter().sum());
+        let mut grad = [0.0; 3];
+        NumericalGradient::central_in_place(&mut xp, &mut grad, |z| z.iter().sum());
         assert_eq!(xp, x);
-        assert!((grad[0] - 1.0).abs() < 1e-9 && (grad[1] - 1.0).abs() < 1e-9);
+        assert!(grad.iter().all(|g| (g - 1.0).abs() < 1e-9), "{grad:?}");
     }
 }

@@ -29,19 +29,9 @@ pub struct ProjectedGradient {
     pub step_min: f64,
     /// Upper safeguard on the BB step length.
     pub step_max: f64,
-    /// Gradient evaluation strategy used by
-    /// [`ProjectedGradient::minimize_sync`] (ignored by
-    /// [`ProjectedGradient::minimize`], which cannot assume `Sync`).
+    /// Gradient evaluation strategy, passed to
+    /// [`Objective::gradient_with`] at every gradient evaluation.
     pub gradient_mode: GradientMode,
-    /// Line-search batching width: `0` or `1` runs the scalar Armijo
-    /// backtracking ladder; `≥ 2` speculatively evaluates groups of
-    /// that many step-size candidates through one
-    /// [`Objective::value_batch`] call and scans them in ladder order
-    /// with the identical acceptance test. The accepted iterate — and
-    /// therefore the whole solve trajectory — is **bit-identical** to
-    /// the scalar ladder; only the number of (speculative) objective
-    /// evaluations differs.
-    pub batch_width: usize,
 }
 
 impl Default for ProjectedGradient {
@@ -54,7 +44,6 @@ impl Default for ProjectedGradient {
             step_min: 1e-12,
             step_max: 1e10,
             gradient_mode: GradientMode::Serial,
-            batch_width: 0,
         }
     }
 }
@@ -67,85 +56,33 @@ impl ProjectedGradient {
     ///
     /// Panics if `x0.len() != bounds.len()`.
     pub fn minimize<F: Objective + ?Sized>(&self, f: &F, bounds: &Bounds, x0: &[f64]) -> Solution {
-        self.minimize_with_grad(f, bounds, x0, &NullSink, None, |x, g| f.gradient(x, g))
+        self.minimize_within(f, bounds, x0, &NullSink, None)
     }
 
-    /// Like [`ProjectedGradient::minimize`] but for `Sync` objectives,
-    /// honouring [`ProjectedGradient::gradient_mode`] — with
-    /// [`GradientMode::Parallel`] each gradient evaluation fans its
-    /// coordinates out across scoped threads. The iterates are
-    /// bit-identical to the serial path for any thread count.
+    /// The full entry point: [`ProjectedGradient::minimize`] with
+    /// telemetry and an optional [`Deadline`].
+    ///
+    /// Emits one [`Event::SolverIteration`] per outer iteration and one
+    /// [`Event::GradientEval`] per gradient evaluation into `sink`;
+    /// observation only, so the iterates are bit-identical for any sink.
+    /// The deadline is polled once per outer iteration, *after* the
+    /// convergence check (meeting tolerance on the deadline iteration
+    /// still reports [`SolverOutcome::Converged`]); on expiry the best
+    /// iterate seen so far is returned with
+    /// [`SolverOutcome::DeadlineReached`] — always finite and inside the
+    /// box, and for a zero budget exactly the projected warm start with
+    /// `iterations == 0`.
     ///
     /// # Panics
     ///
     /// Panics if `x0.len() != bounds.len()`.
-    pub fn minimize_sync<F: Objective + Sync>(
-        &self,
-        f: &F,
-        bounds: &Bounds,
-        x0: &[f64],
-    ) -> Solution {
-        self.minimize_sync_observed(f, bounds, x0, &NullSink)
-    }
-
-    /// [`ProjectedGradient::minimize_sync`] with telemetry: emits one
-    /// [`Event::SolverIteration`] per outer iteration and one
-    /// [`Event::GradientEval`] per gradient evaluation into `sink`.
-    /// Observation only — the iterates are bit-identical to
-    /// [`ProjectedGradient::minimize_sync`] for any sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0.len() != bounds.len()`.
-    pub fn minimize_sync_observed<F: Objective + Sync>(
-        &self,
-        f: &F,
-        bounds: &Bounds,
-        x0: &[f64],
-        sink: &dyn Sink,
-    ) -> Solution {
-        self.minimize_sync_within(f, bounds, x0, sink, None)
-    }
-
-    /// The *anytime* entry point: [`ProjectedGradient::minimize_sync_observed`]
-    /// with an optional [`Deadline`]. The deadline is polled once per
-    /// outer iteration, *after* the convergence check (meeting tolerance
-    /// on the deadline iteration still reports
-    /// [`SolverOutcome::Converged`]); on expiry the best iterate seen so
-    /// far is returned with [`SolverOutcome::DeadlineReached`] — always
-    /// finite and inside the box, and for a zero budget exactly the
-    /// projected warm start with `iterations == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0.len() != bounds.len()`.
-    pub fn minimize_sync_within<F: Objective + Sync>(
+    pub fn minimize_within<F: Objective + ?Sized>(
         &self,
         f: &F,
         bounds: &Bounds,
         x0: &[f64],
         sink: &dyn Sink,
         deadline: Option<&Deadline<'_>>,
-    ) -> Solution {
-        let threads = self.gradient_mode.worker_threads() as u64;
-        self.minimize_with_grad(f, bounds, x0, sink, deadline, |x, g| {
-            let _grad_span = span(sink, "gradient");
-            f.gradient_with(x, g, self.gradient_mode);
-            sink.record(Event::GradientEval {
-                dim: g.len() as u64,
-                threads,
-            });
-        })
-    }
-
-    fn minimize_with_grad<F: Objective + ?Sized>(
-        &self,
-        f: &F,
-        bounds: &Bounds,
-        x0: &[f64],
-        sink: &dyn Sink,
-        deadline: Option<&Deadline<'_>>,
-        mut gradient: impl FnMut(&[f64], &mut [f64]),
     ) -> Solution {
         assert_eq!(x0.len(), bounds.len(), "start/bounds dimension mismatch");
         let n = x0.len();
@@ -159,6 +96,13 @@ impl ProjectedGradient {
             // surface it structurally instead of silently stalling.
             return Solution::new(x, value, 0, SolverOutcome::NonFinite);
         }
+        let gradient = |x: &[f64], grad: &mut [f64]| {
+            let _grad_span = span(sink, "gradient");
+            f.gradient_with(x, grad, self.gradient_mode);
+            sink.record(Event::GradientEval {
+                dim: grad.len() as u64,
+            });
+        };
         gradient(&x, &mut grad);
         if grad.iter().any(|g| !g.is_finite()) {
             return Solution::new(x, value, 0, SolverOutcome::NonFinite);
@@ -173,17 +117,6 @@ impl ProjectedGradient {
         // Line-search trial point, allocated once for the whole solve —
         // the backtracking loop below runs up to 40 times per iteration.
         let mut trial = vec![0.0; n];
-        // Batched-ladder scratch (candidate matrix, predicted decreases,
-        // batched values), allocated once and only when batching is on.
-        let batch = self.batch_width;
-        let mut cand_pts = Vec::new();
-        let mut cand_dec = Vec::new();
-        let mut cand_val = Vec::new();
-        if batch >= 2 {
-            cand_pts.reserve(batch * n);
-            cand_dec.reserve(batch);
-            cand_val.reserve(batch);
-        }
 
         for iter in 0..self.max_iterations {
             let _iter_span = span(sink, "iteration");
@@ -219,79 +152,24 @@ impl ProjectedGradient {
             let mut alpha = step.clamp(self.step_min, self.step_max);
             let mut accepted = false;
             let line_search = span(sink, "line_search");
-            if batch >= 2 {
-                // Speculative batched ladder: materialise up to `batch`
-                // candidates of the scalar halving ladder, evaluate them
-                // in one `value_batch` call, and scan in ladder order
-                // with the scalar acceptance test. Identical candidate
-                // points + identical test ⇒ the accepted iterate is the
-                // one the scalar loop would pick, bit for bit.
-                let mut tried = 0usize;
-                'ladder: loop {
-                    cand_pts.clear();
-                    cand_dec.clear();
-                    // `true` once the ladder is exhausted (40-candidate
-                    // cap or the step_min cut) within this group.
-                    let mut exhausted = false;
-                    for _ in 0..batch {
-                        if tried == 40 {
-                            exhausted = true;
-                            break;
-                        }
-                        for i in 0..n {
-                            trial[i] = x[i] - alpha * grad[i];
-                        }
-                        bounds.project(&mut trial);
-                        let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
-                        cand_pts.extend_from_slice(&trial);
-                        cand_dec.push(decrease);
-                        tried += 1;
-                        alpha *= 0.5;
-                        if alpha < self.step_min {
-                            exhausted = true;
-                            break;
-                        }
-                    }
-                    if cand_dec.is_empty() {
-                        break;
-                    }
-                    cand_val.clear();
-                    cand_val.resize(cand_dec.len(), 0.0);
-                    f.value_batch(&cand_pts, n, &mut cand_val);
-                    for (j, (&f_trial, &decrease)) in cand_val.iter().zip(&cand_dec).enumerate() {
-                        if f_trial <= f_ref - self.armijo * decrease.max(0.0) {
-                            x_prev.copy_from_slice(&x);
-                            grad_prev.copy_from_slice(&grad);
-                            x.copy_from_slice(&cand_pts[j * n..(j + 1) * n]);
-                            value = f_trial;
-                            accepted = true;
-                            break 'ladder;
-                        }
-                    }
-                    if exhausted {
-                        break;
-                    }
+            for _ in 0..40 {
+                for i in 0..n {
+                    trial[i] = x[i] - alpha * grad[i];
                 }
-            } else {
-                for _ in 0..40 {
-                    for i in 0..n {
-                        trial[i] = x[i] - alpha * grad[i];
-                    }
-                    bounds.project(&mut trial);
-                    let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
-                    let f_trial = f.value(&trial);
-                    if f_trial <= f_ref - self.armijo * decrease.max(0.0) {
-                        x_prev.copy_from_slice(&x);
-                        grad_prev.copy_from_slice(&grad);
-                        x.copy_from_slice(&trial);
-                        value = f_trial;
-                        accepted = true;
-                        break;
-                    }
-                    alpha *= 0.5;
-                    if alpha < self.step_min {
-                        break;
-                    }
+                bounds.project(&mut trial);
+                let decrease: f64 = (0..n).map(|i| grad[i] * (x[i] - trial[i])).sum();
+                let f_trial = f.value(&trial);
+                if f_trial <= f_ref - self.armijo * decrease.max(0.0) {
+                    x_prev.copy_from_slice(&x);
+                    grad_prev.copy_from_slice(&grad);
+                    x.copy_from_slice(&trial);
+                    value = f_trial;
+                    accepted = true;
+                    break;
+                }
+                alpha *= 0.5;
+                if alpha < self.step_min {
+                    break;
                 }
             }
             line_search.close();
@@ -461,39 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_yields_bit_identical_solutions() {
-        let f = FnObjective::new(|x: &[f64]| {
-            x.windows(2)
-                .map(|w| 100.0 * (w[1] - w[0] * w[0]).powi(2) + (1.0 - w[0]).powi(2))
-                .sum::<f64>()
-        });
-        let bounds = Bounds::uniform(6, -2.0, 2.0);
-        let x0 = [-1.2, 1.0, -0.5, 0.3, 1.5, -1.0];
-        let serial = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
-        for threads in [2, 3, 4, 8] {
-            let solver = ProjectedGradient {
-                gradient_mode: crate::GradientMode::Parallel { threads },
-                ..ProjectedGradient::default()
-            };
-            let parallel = solver.minimize_sync(&f, &bounds, &x0);
-            assert_eq!(
-                parallel.iterations, serial.iterations,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                parallel.value.to_bits(),
-                serial.value.to_bits(),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                parallel.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                serial.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn observed_solve_is_bit_identical_and_traces_every_iteration() {
         use otem_telemetry::MemorySink;
         let f = FnObjective::new(|x: &[f64]| {
@@ -501,10 +346,10 @@ mod tests {
         });
         let bounds = Bounds::uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let plain = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let plain = ProjectedGradient::default().minimize(&f, &bounds, &x0);
 
         let sink = MemorySink::new();
-        let observed = ProjectedGradient::default().minimize_sync_observed(&f, &bounds, &x0, &sink);
+        let observed = ProjectedGradient::default().minimize_within(&f, &bounds, &x0, &sink, None);
         assert_eq!(observed.iterations, plain.iterations);
         assert_eq!(observed.value.to_bits(), plain.value.to_bits());
         assert_eq!(
@@ -526,7 +371,7 @@ mod tests {
         let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::new();
         let deadline = Deadline::after(&clock, 0);
-        let sol = ProjectedGradient::default().minimize_sync_within(
+        let sol = ProjectedGradient::default().minimize_within(
             &f,
             &Bounds::uniform(1, -1.0, 2.0),
             &[5.0],
@@ -548,7 +393,7 @@ mod tests {
         });
         let bounds = Bounds::uniform(2, -2.0, 2.0);
         let x0 = [-1.2, 1.0];
-        let unbounded = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let unbounded = ProjectedGradient::default().minimize(&f, &bounds, &x0);
         assert!(unbounded.iterations > 10, "rig must need many iterations");
 
         // One tick per clock read: `after` consumes the first read, and
@@ -557,7 +402,7 @@ mod tests {
         let run = || {
             let clock = VirtualClock::with_tick(1);
             let deadline = Deadline::after(&clock, 5);
-            ProjectedGradient::default().minimize_sync_within(
+            ProjectedGradient::default().minimize_within(
                 &f,
                 &bounds,
                 &x0,
@@ -586,7 +431,7 @@ mod tests {
         let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2));
         let clock = VirtualClock::with_tick(1);
         let deadline = Deadline::after(&clock, 3);
-        let sol = ProjectedGradient::default().minimize_sync_within(
+        let sol = ProjectedGradient::default().minimize_within(
             &f,
             &Bounds::unbounded(1),
             &[5.0],
@@ -594,64 +439,5 @@ mod tests {
             Some(&deadline),
         );
         assert_eq!(sol.outcome, SolverOutcome::Converged, "{sol:?}");
-    }
-
-    #[test]
-    fn batched_line_search_is_bit_identical_to_scalar() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // A counting objective: verifies the batched path both matches
-        // bitwise and actually routes through value_batch.
-        struct Counting(AtomicUsize);
-        impl Objective for Counting {
-            fn value(&self, x: &[f64]) -> f64 {
-                x.windows(2)
-                    .map(|w| 100.0 * (w[1] - w[0] * w[0]).powi(2) + (1.0 - w[0]).powi(2))
-                    .sum::<f64>()
-            }
-            fn value_batch(&self, points: &[f64], m: usize, out: &mut [f64]) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                for (z, o) in points.chunks_exact(m).zip(out.iter_mut()) {
-                    *o = self.value(z);
-                }
-            }
-        }
-        let bounds = Bounds::uniform(6, -2.0, 2.0);
-        let x0 = [-1.2, 1.0, -0.5, 0.3, 1.5, -1.0];
-        let f = Counting(AtomicUsize::new(0));
-        let scalar = ProjectedGradient::default().minimize(&f, &bounds, &x0);
-        assert_eq!(f.0.load(Ordering::Relaxed), 0, "scalar path must not batch");
-        for width in [2, 3, 8] {
-            let solver = ProjectedGradient {
-                batch_width: width,
-                ..ProjectedGradient::default()
-            };
-            let batched = solver.minimize(&f, &bounds, &x0);
-            assert_eq!(batched.iterations, scalar.iterations, "width = {width}");
-            assert_eq!(batched.outcome, scalar.outcome, "width = {width}");
-            assert_eq!(
-                batched.value.to_bits(),
-                scalar.value.to_bits(),
-                "width = {width}"
-            );
-            assert_eq!(
-                batched.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                scalar.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "width = {width}"
-            );
-        }
-        assert!(
-            f.0.load(Ordering::Relaxed) > 0,
-            "batched solves must route through value_batch"
-        );
-    }
-
-    #[test]
-    fn minimize_sync_matches_minimize_in_serial_mode() {
-        let f = FnObjective::new(|x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2));
-        let bounds = Bounds::unbounded(2);
-        let a = ProjectedGradient::default().minimize(&f, &bounds, &[5.0, 5.0]);
-        let b = ProjectedGradient::default().minimize_sync(&f, &bounds, &[5.0, 5.0]);
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
     }
 }

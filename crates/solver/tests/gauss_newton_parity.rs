@@ -43,7 +43,7 @@ proptest! {
         let f = bowl(&[s0, s1, s2], &[c0, c1, c2]);
         let bounds = Bounds::uniform(3, -1.0, 1.0);
         let gn = GaussNewton::default().minimize(&f, &bounds, &x0);
-        let pg = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let pg = ProjectedGradient::default().minimize(&f, &bounds, &x0);
         prop_assert_eq!(gn.outcome, SolverOutcome::Converged);
         prop_assert_eq!(pg.outcome, SolverOutcome::Converged);
         // Shared tolerance 1e-8 on the projected-gradient norm with
@@ -76,7 +76,7 @@ proptest! {
         let f = bowl(&[s0, s1, s2], &[c0, c1, c2]);
         let bounds = Bounds::uniform(3, -1.0, 1.0);
         let gn = GaussNewton::default().minimize(&f, &bounds, &x0);
-        let pg = ProjectedGradient::default().minimize_sync(&f, &bounds, &x0);
+        let pg = ProjectedGradient::default().minimize(&f, &bounds, &x0);
         prop_assert_eq!(gn.outcome, SolverOutcome::Converged);
         prop_assert_eq!(pg.outcome, SolverOutcome::Converged);
         // Separable QP over a box: the optimum is the clamped center.

@@ -46,7 +46,7 @@
 
 mod cooler;
 mod error;
-pub mod kernel;
+mod kernel;
 mod model;
 mod multi_node;
 mod pump;

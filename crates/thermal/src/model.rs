@@ -278,9 +278,8 @@ impl ThermalModel {
         }
     }
 
-    /// The kernel-facing constants of the two-node system — what the
-    /// batched SoA rollout hoists out of its lane loop.
-    pub fn node_constants(&self) -> crate::kernel::NodeConstants<f64> {
+    /// The kernel-facing constants of the two-node system.
+    fn node_constants(&self) -> crate::kernel::NodeConstants {
         let p = &self.params;
         crate::kernel::NodeConstants {
             cb: p.battery_heat_capacity.value(),

@@ -1,17 +1,13 @@
-//! Scalar-generic ultracapacitor step math.
+//! Ultracapacitor step math.
 //!
 //! The voltage-swing law, the current solve and the SoE integral of
-//! Eq. 7–9, written once against [`otem_units::Scalar`] and monomorphised
-//! per scalar type. The concrete `f64` methods on [`crate::UltracapBank`]
-//! delegate here — the `f64` instantiation performs the *same operations
-//! in the same order* as the pre-refactor hand-written code, so delegation
-//! is bit-identical (the contract the golden traces pin).
-
-use otem_units::Scalar;
+//! Eq. 7–9 as plain `f64` functions. The methods on
+//! [`crate::UltracapBank`] delegate here; the operation order is the
+//! contract the golden traces pin.
 
 /// Open-circuit bank voltage (Eq. 8): `V_cap = V_r·√SoE`.
 #[inline]
-pub fn bank_voltage<S: Scalar>(rated_voltage: S, soe: S) -> S {
+pub fn bank_voltage(rated_voltage: f64, soe: f64) -> f64 {
     rated_voltage * soe.sqrt()
 }
 
@@ -21,28 +17,28 @@ pub fn bank_voltage<S: Scalar>(rated_voltage: S, soe: S) -> S {
 /// stays non-singular. With resistance, the stable root of
 /// `P = V·I − R·I²`; `None` past the vertex `V²/(4R)`.
 #[inline]
-pub fn bank_current<S: Scalar>(p: S, v: S, r: S, rated_voltage: S) -> Option<S> {
-    if r == S::ZERO {
-        return Some(p / v.max(S::from_f64(0.05) * rated_voltage));
+pub fn bank_current(p: f64, v: f64, r: f64, rated_voltage: f64) -> Option<f64> {
+    if r == 0.0 {
+        return Some(p / v.max(0.05 * rated_voltage));
     }
-    let disc = v * v - S::from_f64(4.0) * r * p;
-    if disc < S::ZERO {
+    let disc = v * v - 4.0 * r * p;
+    if disc < 0.0 {
         return None;
     }
-    Some((v - disc.sqrt()) / (S::from_f64(2.0) * r))
+    Some((v - disc.sqrt()) / (2.0 * r))
 }
 
 /// One SoE integration step (Eq. 9) including the self-discharge leak:
 /// `SoE⁺ = (SoE − P_int·dt/E_cap) · e^{−dt/τ}`. The caller clamps to
 /// `[0, 1]`.
 #[inline]
-pub fn soe_after_step<S: Scalar>(
-    soe: S,
-    internal_power: S,
-    dt: S,
-    energy_capacity: S,
-    leakage_time_constant: S,
-) -> S {
+pub fn soe_after_step(
+    soe: f64,
+    internal_power: f64,
+    dt: f64,
+    energy_capacity: f64,
+    leakage_time_constant: f64,
+) -> f64 {
     let delta = internal_power * dt / energy_capacity;
     let leak = (-dt / leakage_time_constant).exp();
     (soe - delta) * leak
@@ -74,16 +70,5 @@ mod tests {
     fn leak_discounts_the_integral() {
         let next = soe_after_step(0.8_f64, 0.0, 3600.0, 1.0e6, 40.0 * 3600.0);
         assert!((next - 0.8 * (-1.0_f64 / 40.0).exp()).abs() < 1e-12);
-    }
-
-    #[cfg(feature = "f32")]
-    #[test]
-    fn f32_lanes_track_f64_within_single_precision() {
-        let wide = bank_current(10_000.0_f64, 14.0, 2.0e-4, 16.0).unwrap();
-        let narrow = bank_current(10_000.0_f32, 14.0, 2.0e-4, 16.0).unwrap() as f64;
-        assert!(
-            (wide - narrow).abs() < 1e-3 * wide.abs(),
-            "{wide} vs {narrow}"
-        );
     }
 }

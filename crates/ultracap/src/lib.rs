@@ -32,7 +32,7 @@
 
 mod bank;
 mod error;
-pub mod kernel;
+mod kernel;
 mod params;
 
 pub use bank::{CapDraw, CapDrawPartials, UltracapBank};

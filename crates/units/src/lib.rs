@@ -34,14 +34,12 @@ mod electrical;
 mod energy;
 mod mechanics;
 mod ratio;
-mod scalar;
 mod thermal;
 
 pub use electrical::{AmpHours, Amps, Coulombs, Farads, Ohms, Volts};
 pub use energy::{Joules, Kilowatts, Watts};
 pub use mechanics::{Kilograms, Meters, MetersPerSecond, MetersPerSecondSquared, Newtons, Seconds};
 pub use ratio::Ratio;
-pub use scalar::Scalar;
 pub use thermal::{Celsius, HeatCapacity, Kelvin, KelvinPerSecond, ThermalConductance};
 
 /// Ideal gas constant in J/(mol·K); used by the Arrhenius capacity-loss

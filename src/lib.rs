@@ -20,7 +20,7 @@
 //! | [`telemetry`] | `otem-telemetry` | structured events, metrics, sinks |
 //! | [`control`] | `otem` | OTEM MPC, baselines, simulator, supervisor |
 //! | [`faults`] | `otem-faults` | deterministic fault-injection harness |
-//! | [`fleet`] | `otem-fleet` | batched fleet engine + JSONL-over-TCP server |
+//! | [`fleet`] | `otem-fleet` | fleet campaign engine + JSONL-over-TCP server |
 //!
 //! # Examples
 //!
