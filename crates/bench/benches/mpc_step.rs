@@ -47,9 +47,10 @@ fn bench_mpc(c: &mut Criterion) {
 }
 
 /// Finite-difference gradients vs the reverse-mode adjoint at a fixed
-/// horizon: the adjoint replaces `4·horizon` FD rollouts per gradient
-/// with one taped rollout (DESIGN.md §8), which is where its
-/// order-of-magnitude gap comes from.
+/// horizon: the adjoint replaces the `4·horizon + 1` checkpointed FD
+/// rollout calls per gradient (`2·horizon·(horizon + 1) + horizon`
+/// plant steps) with one taped rollout (DESIGN.md §8), which is where
+/// its order-of-magnitude gap comes from.
 fn bench_gradient_modes(c: &mut Criterion) {
     let config = SystemConfig::default();
     let p = plant(&config);

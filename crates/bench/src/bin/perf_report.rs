@@ -182,11 +182,12 @@ fn run_mode(
 
 /// Adjoint-only smoke (`--gradient adjoint`): a quick assertion that the
 /// tape gradient's per-solve rollout count is small and does not grow
-/// with the horizon — the property the adjoint exists for. FD needs
-/// `4·horizon` rollouts *per gradient* (≥ 1440/solve at horizon 12 with
-/// the 30-iteration default); the adjoint needs one taped rollout per
-/// gradient, so a generous `8·iterations` ceiling still separates the
-/// two by an order of magnitude.
+/// with the horizon — the property the adjoint exists for. FD makes
+/// `4·horizon + 1` rollout calls *per gradient* (a checkpoint pass plus
+/// one resumed suffix per perturbed evaluation; ≥ 1470/solve at horizon
+/// 12 with the 30-iteration default); the adjoint needs one taped
+/// rollout per gradient, so a generous `8·iterations` ceiling still
+/// separates the two by an order of magnitude.
 fn adjoint_smoke(config: &SystemConfig) {
     let p = plant(config);
     let iterations = MpcConfig::default().solver_iterations;
@@ -216,7 +217,7 @@ fn adjoint_smoke(config: &SystemConfig) {
             "horizon {horizon}: {} rollouts/solve — adjoint gradient is \
              paying per-coordinate rollouts (FD would need ≥ {})",
             adj.rollouts_per_solve,
-            4 * horizon * iterations
+            (4 * horizon + 1) * iterations
         );
     }
     println!("\nadjoint smoke: rollouts/solve horizon-independent, all decisions finite");

@@ -1,12 +1,17 @@
-//! Reverse-mode (adjoint) gradient of the MPC rollout objective.
+//! Reverse-mode (adjoint) gradient of the MPC rollout objective, and the
+//! one rollout body every gradient mode runs.
 //!
-//! Finite differences price a gradient at `4·horizon` rollouts (central
-//! differences over `2·horizon` coordinates). The adjoint method gets
-//! the same gradient from **one** rollout: a forward pass records, per
-//! horizon step, the exact Jacobian of the executed branch of every
-//! component model (the *tape*), and a backward sweep chain-rules the
-//! stage costs and the terminal TEB penalty through that tape back to
-//! the decision vector.
+//! Finite differences price a gradient at `4·horizon + 1` rollout calls
+//! (central differences over `2·horizon` coordinates), but most of them
+//! are short: one checkpoint pass records the carried state before every
+//! stage, and each perturbed evaluation of `z[k]` or `z[n+k]` resumes
+//! there and simulates only stages `k..n` — `2n(n+1) + n` stage
+//! evaluations per gradient instead of `4n²` (see [`rollout`]). The
+//! adjoint method gets the same gradient from **one** rollout: a forward
+//! pass records, per horizon step, the exact Jacobian of the executed
+//! branch of every component model (the *tape*), and a backward sweep
+//! chain-rules the stage costs and the terminal TEB penalty through that
+//! tape back to the decision vector.
 //!
 //! # Derivation sketch
 //!
@@ -42,17 +47,82 @@
 //! matching their subgradient conventions keeps both gradient modes on
 //! the same closed-loop trajectory.
 //!
-//! The forward pass here **is** the MPC's rollout: [`rollout_cost_taped`]
-//! with `tape = None` is the cost evaluation
-//! ([`crate::mpc::rollout_cost`] delegates to it), and with a tape it
-//! runs the identical arithmetic through
+//! The forward pass here **is** the MPC's rollout: [`rollout`] with
+//! [`Record::Nothing`] is the cost evaluation
+//! ([`crate::mpc::rollout_cost`] delegates to it), and with
+//! [`Record::Tape`] it runs the identical arithmetic through
 //! [`otem_hees::HybridHees::step_with_jacobian`] — bit-identical results
 //! by construction, so taping cannot perturb the objective.
 
 use crate::mpc::{MpcConfig, MpcPlant};
-use otem_hees::{HeesStepJacobian, HybridCommand, HybridHees};
+use otem_hees::{HeesSnapshot, HeesStepJacobian, HybridCommand, HybridHees};
 use otem_thermal::ThermalState;
 use otem_units::{Kelvin, Seconds, Watts, GAS_CONSTANT};
+
+/// One solve's fixed rollout inputs — the plant at the start of the
+/// control window, the load forecast, the period and the tuning — plus
+/// two constants derived from them once per solve: the stage-0
+/// [`Checkpoint`] and the terminal tail's nominal C-rate.
+pub(crate) struct Window<'a> {
+    pub(crate) plant: &'a MpcPlant,
+    pub(crate) loads: &'a [Watts],
+    pub(crate) dt: Seconds,
+    pub(crate) config: &'a MpcConfig,
+    /// Where every full rollout starts: the plant's own state, nothing
+    /// spent yet.
+    pub(crate) start: Checkpoint,
+    /// [`terminal_c_rate`] of `plant` and `loads`.
+    terminal_c_rate: f64,
+}
+
+impl<'a> Window<'a> {
+    pub(crate) fn new(
+        plant: &'a MpcPlant,
+        loads: &'a [Watts],
+        dt: Seconds,
+        config: &'a MpcConfig,
+    ) -> Self {
+        Self {
+            plant,
+            loads,
+            dt,
+            config,
+            start: Checkpoint {
+                stage: 0,
+                hees: plant.hees.snapshot(),
+                state: plant.state,
+                cost: 0.0,
+            },
+            terminal_c_rate: terminal_c_rate(plant, loads, config.horizon),
+        }
+    }
+}
+
+/// The rollout's carried state just before one stage: resuming a
+/// rollout here reproduces the full rollout's remaining arithmetic bit
+/// for bit, because stages before `stage` read no decision at or after
+/// it and the cost is one sequential `+=` fold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checkpoint {
+    /// The next stage to run.
+    stage: usize,
+    hees: HeesSnapshot,
+    state: ThermalState,
+    /// Running cost of stages `0..stage`.
+    cost: f64,
+}
+
+/// What a [`rollout`] writes down besides its cost. Tapes and
+/// checkpoints describe a whole horizon, so recording rollouts start at
+/// stage 0; both buffers are cleared first and keep their capacity.
+pub(crate) enum Record<'a> {
+    /// The cost alone.
+    Nothing,
+    /// One [`TapeStep`] per stage, for the backward sweep.
+    Tape(&'a mut Vec<TapeStep>),
+    /// One [`Checkpoint`] before each stage, for resumed rollouts.
+    Checkpoints(&'a mut Vec<Checkpoint>),
+}
 
 /// One horizon step's forward-pass record: everything the backward sweep
 /// needs to differentiate the branch that actually executed.
@@ -91,73 +161,85 @@ pub(crate) struct TapeStep {
     duty_gain: f64,
 }
 
-/// Simulates the horizon under the candidate controls `z` and returns
-/// the Eq. 19 cost plus constraint penalties — the single rollout
-/// implementation behind both the MPC objective and the adjoint forward
-/// pass. With `tape = Some(..)` each step additionally records a
-/// [`TapeStep`] (the vector is cleared first and its capacity reused);
-/// the forward arithmetic is identical either way.
+/// Simulates the horizon under the candidate controls `z` from the
+/// checkpoint `from` and returns the Eq. 19 cost plus constraint
+/// penalties — the single rollout implementation behind the MPC
+/// objective, the finite-difference gradient and the adjoint forward
+/// pass. `from = &window.start` is the full rollout; a checkpoint that
+/// [`Record::Checkpoints`] wrote at `z` resumes at its stage and returns,
+/// for any `z'` that differs from `z` only at or after that stage, the
+/// full rollout's cost at `z'` bit for bit, at the price of the
+/// remaining stages. The forward arithmetic is identical for every
+/// [`Record`].
 ///
-/// `hees` must already be in the plant's start state
-/// (`hees == plant.hees`); it is left in the end-of-horizon state.
-/// Allocation-free once the tape has reached horizon capacity.
-pub(crate) fn rollout_cost_taped(
-    plant: &MpcPlant,
+/// `hees` is rewound to the checkpoint first and left in the
+/// end-of-horizon state. Allocation-free once the record buffer has
+/// reached horizon capacity.
+pub(crate) fn rollout(
+    w: &Window,
     hees: &mut HybridHees,
-    loads: &[Watts],
-    dt: Seconds,
-    config: &MpcConfig,
     z: &[f64],
-    mut tape: Option<&mut Vec<TapeStep>>,
+    from: &Checkpoint,
+    mut record: Record,
 ) -> f64 {
-    let n = config.horizon;
+    let n = w.config.horizon;
     debug_assert_eq!(z.len(), 2 * n);
-    let mut state = plant.state;
-    let mut cost = 0.0;
-    if let Some(t) = tape.as_deref_mut() {
-        t.clear();
+    hees.restore(from.hees);
+    let mut state = from.state;
+    let mut cost = from.cost;
+    match &mut record {
+        Record::Nothing => {}
+        Record::Tape(tape) => {
+            debug_assert_eq!(from.stage, 0, "a tape covers the whole horizon");
+            tape.clear();
+        }
+        Record::Checkpoints(checkpoints) => {
+            debug_assert_eq!(from.stage, 0, "checkpoints cover the whole horizon");
+            checkpoints.clear();
+        }
     }
 
-    for k in 0..n {
-        let load = loads.get(k).copied().unwrap_or(Watts::ZERO);
-        state = rollout_stage(
-            plant,
-            hees,
-            state,
-            load,
-            z[k],
-            z[n + k],
-            dt,
-            config,
-            &mut cost,
-            tape.as_deref_mut(),
-        );
+    for k in from.stage..n {
+        let tape = match &mut record {
+            Record::Nothing => None,
+            Record::Tape(tape) => Some(&mut **tape),
+            Record::Checkpoints(checkpoints) => {
+                checkpoints.push(Checkpoint {
+                    stage: k,
+                    hees: hees.snapshot(),
+                    state,
+                    cost,
+                });
+                None
+            }
+        };
+        state = rollout_stage(w, hees, state, z, k, &mut cost, tape);
     }
 
-    rollout_terminal(plant, loads, n, state, dt, config, &mut cost);
+    rollout_terminal(w, state, &mut cost);
     cost
 }
 
-/// One horizon step of the rollout: actuation chain, HEES power split,
-/// thermal update, and the Eq. 19 stage cost.
+/// Stage `k` of the rollout: actuation chain, HEES power split, thermal
+/// update, and the Eq. 19 stage cost.
 ///
 /// Accumulates directly into the caller's `cost` (fixing the float
-/// summation order) and returns the post-step thermal
-/// state. `z_cap`/`z_duty` are the step's raw decision entries
-/// (`z[k]`, `z[n + k]`).
-#[allow(clippy::too_many_arguments)]
+/// summation order) and returns the post-step thermal state. Reads only
+/// the stage's own decisions `z[k]` and `z[n + k]`.
 fn rollout_stage(
-    plant: &MpcPlant,
+    w: &Window,
     hees: &mut HybridHees,
     mut state: ThermalState,
-    load: Watts,
-    z_cap: f64,
-    z_duty: f64,
-    dt: Seconds,
-    config: &MpcConfig,
+    z: &[f64],
+    k: usize,
     cost: &mut f64,
     tape: Option<&mut Vec<TapeStep>>,
 ) -> ThermalState {
+    let Window {
+        plant, dt, config, ..
+    } = *w;
+    let load = w.loads.get(k).copied().unwrap_or(Watts::ZERO);
+    let (z_cap, z_duty) = (z[k], z[config.horizon + k]);
     let dtv = dt.value();
     let cap_bus = Watts::new(z_cap * plant.cap_power_max.value());
     let duty = z_duty.clamp(0.0, 1.0);
@@ -242,33 +324,29 @@ fn rollout_stage(
 
 /// Terminal cost: the horizon is far shorter than the pack's thermal
 /// time constant, so value the end-of-horizon temperature as if the
-/// route's stress persisted for `terminal_tail` seconds. The nominal
-/// C-rate is derived from the *load forecast alone* — deliberately
-/// excluding the cooling-induced battery current, which would
-/// otherwise make the tail punish the very cooling that lowers the
-/// terminal temperature. Like [`rollout_stage`], accumulates directly
-/// into the caller's `cost`.
-fn rollout_terminal(
-    plant: &MpcPlant,
-    loads: &[Watts],
-    n: usize,
-    state: ThermalState,
-    dt: Seconds,
-    config: &MpcConfig,
-    cost: &mut f64,
-) {
+/// route's stress persisted for `terminal_tail` seconds, at the
+/// window's [`terminal_c_rate`]. Like [`rollout_stage`], accumulates
+/// directly into the caller's `cost`.
+fn rollout_terminal(w: &Window, state: ThermalState, cost: &mut f64) {
+    let Window {
+        plant, dt, config, ..
+    } = *w;
     if config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
-        *cost += config.w2 * plant.aging.loss_rate(state.battery, c_load) * config.terminal_tail;
+        *cost += config.w2
+            * plant.aging.loss_rate(state.battery, w.terminal_c_rate)
+            * config.terminal_tail;
         let over_t = (state.battery.value() - config.temp_soft.value()).max(0.0);
         *cost +=
             config.temp_penalty * over_t * over_t * (config.terminal_tail / dt.value().max(1e-9));
     }
 }
 
-/// The terminal tail's nominal per-cell C-rate — a constant of the load
-/// forecast and the *unrolled* plant, shared between the forward cost
-/// and the backward sweep.
+/// The terminal tail's nominal per-cell C-rate. It is derived from the
+/// *load forecast alone* — deliberately excluding the cooling-induced
+/// battery current, which would otherwise make the tail punish the very
+/// cooling that lowers the terminal temperature — and the *unrolled*
+/// plant, so it is a constant of the [`Window`], shared between the
+/// forward cost and the backward sweep.
 fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
     let mean_load: f64 = loads.iter().take(n).map(|p| p.value().abs()).sum::<f64>() / n as f64;
     let pack = plant.hees.battery();
@@ -281,14 +359,10 @@ fn terminal_c_rate(plant: &MpcPlant, loads: &[Watts], n: usize) -> f64 {
 /// the terminal tail back through the thermal, HEES, and cooling-plant
 /// Jacobians, writing `∂J/∂z` into `grad` (layout
 /// `[cap_share_0..n-1, cool_duty_0..n-1]`). One pass, no rollouts.
-pub(crate) fn adjoint_sweep(
-    plant: &MpcPlant,
-    loads: &[Watts],
-    dt: Seconds,
-    config: &MpcConfig,
-    tape: &[TapeStep],
-    grad: &mut [f64],
-) {
+pub(crate) fn adjoint_sweep(w: &Window, tape: &[TapeStep], grad: &mut [f64]) {
+    let Window {
+        plant, dt, config, ..
+    } = *w;
     let n = tape.len();
     debug_assert_eq!(n, config.horizon);
     debug_assert_eq!(grad.len(), 2 * n);
@@ -307,11 +381,10 @@ pub(crate) fn adjoint_sweep(
     // alone — its nominal C-rate is a constant of the forecast).
     let (mut l_tb, mut l_tc, mut l_s, mut l_e) = (0.0, 0.0, 0.0, 0.0);
     if config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
         let tb_n = tape[n - 1].battery_post;
         let (_, d_temp, _) = plant
             .aging
-            .loss_rate_and_partials(Kelvin::new(tb_n), c_load);
+            .loss_rate_and_partials(Kelvin::new(tb_n), w.terminal_c_rate);
         l_tb += config.w2 * d_temp * config.terminal_tail;
         let over_t = (tb_n - config.temp_soft.value()).max(0.0);
         l_tb += 2.0 * config.temp_penalty * over_t * (config.terminal_tail / dtv.max(1e-9));
@@ -463,14 +536,14 @@ impl CurvatureScratch {
 /// Writes the row-major `2n × 2n` matrix into `hess` (zeroed first).
 /// `O(n²)` propagation plus rank-one updates for active residuals only.
 pub(crate) fn tape_curvature(
-    plant: &MpcPlant,
-    loads: &[Watts],
-    dt: Seconds,
-    config: &MpcConfig,
+    w: &Window,
     tape: &[TapeStep],
     scratch: &mut CurvatureScratch,
     hess: &mut [f64],
 ) {
+    let Window {
+        plant, dt, config, ..
+    } = *w;
     let n = tape.len();
     let m = 2 * n;
     debug_assert_eq!(hess.len(), m * m);
@@ -573,11 +646,10 @@ pub(crate) fn tape_curvature(
     // alone (its nominal C-rate is a constant of the forecast), so its
     // exact temperature curvature rides on the final sensitivity row.
     if config.w2 > 0.0 && config.terminal_tail > 0.0 {
-        let c_load = terminal_c_rate(plant, loads, n);
         let tb_n = tape[n - 1].battery_post;
         let (loss, d_temp, _) = plant
             .aging
-            .loss_rate_and_partials(Kelvin::new(tb_n), c_load);
+            .loss_rate_and_partials(Kelvin::new(tb_n), w.terminal_c_rate);
         if loss > 1e-30 {
             let t_val = tb_n.max(200.0);
             let a = (1.0 - 2.0 * GAS_CONSTANT * t_val / plant.aging.l2).max(0.0);

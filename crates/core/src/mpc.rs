@@ -22,8 +22,9 @@
 //! warm-started from the previous period's shifted solution (standard
 //! receding-horizon practice).
 
+use crate::adjoint::{self, Checkpoint, CurvatureScratch, Record, TapeStep, Window};
 use otem_battery::AgingParams;
-use otem_hees::{HeesSnapshot, HybridHees};
+use otem_hees::HybridHees;
 use otem_solver::{
     Bounds, CurvatureObjective, Deadline, GaussNewton, GradientMode, NumericalGradient, Objective,
     ProjectedGradient, Solution, SolverOutcome,
@@ -76,7 +77,10 @@ pub struct MpcConfig {
     pub block_size: usize,
     /// How the gradient of the rollout objective is evaluated.
     /// [`GradientMode::Serial`] is plain central finite differences
-    /// (`4·horizon` rollouts per gradient); [`GradientMode::Adjoint`]
+    /// over prefix-checkpointed rollouts: one checkpoint pass, then each
+    /// of the `4·horizon` perturbed evaluations resumes at the stage it
+    /// perturbs (`2·horizon·(horizon + 1) + horizon` stage evaluations
+    /// per gradient, bit-identical to full rollouts); [`GradientMode::Adjoint`]
     /// replaces finite differences entirely with a hand-derived
     /// reverse-mode sweep — one taped rollout per gradient regardless of
     /// the horizon (see `adjoint` module), matching FD to ~1e-6 relative
@@ -266,10 +270,16 @@ impl Mpc {
         self.clock = clock;
     }
 
-    /// Total plant rollouts performed by [`Mpc::solve`] so far — the
-    /// MPC's unit of work (each objective evaluation simulates the whole
-    /// horizon once). Benchmarks divide this by wall time to report
-    /// rollouts/second.
+    /// Calls to the rollout body made by [`Mpc::solve`] so far, exact
+    /// and monotone. Every call counts once: each objective value (line
+    /// search included), each taped pass of the adjoint and
+    /// Gauss-Newton modes, and in finite-difference mode the checkpoint
+    /// pass plus each resumed suffix — `4·horizon + 1` per FD gradient.
+    ///
+    /// A call is not a fixed amount of work: a resumed suffix that
+    /// perturbs stage `k` simulates only stages `k..horizon` plus the
+    /// terminal, so on the FD path `rollouts × horizon` overstates the
+    /// plant steps simulated, by about 2× at large horizons.
     pub fn rollouts(&self) -> u64 {
         self.pool.rollouts.load(Ordering::Relaxed)
     }
@@ -319,12 +329,8 @@ impl Mpc {
             self.pool.rebind(&plant.hees);
         }
         let objective = RolloutObjective {
-            plant,
-            loads,
-            dt,
-            config: &self.config,
+            window: Window::new(plant, loads, dt, &self.config),
             pool: &self.pool,
-            start: plant.hees.snapshot(),
             sink,
         };
         let mut solver = self.solver;
@@ -427,14 +433,18 @@ fn warm_start_shift(x0: &mut [f64], prev: &[f64], n: usize, block: usize) {
 struct RolloutWorkspace {
     hees: HybridHees,
     xp: Vec<f64>,
+    /// Finite-difference checkpoints: the carried state before each
+    /// stage of the unperturbed rollout, where each perturbed rollout
+    /// resumes. Retains its capacity across solves.
+    checkpoints: Vec<Checkpoint>,
     /// Adjoint tape: per-step Jacobian records written by the forward
     /// pass and consumed by the backward sweep. Retains its capacity
     /// across solves, so steady-state adjoint gradients allocate
     /// nothing.
-    tape: Vec<crate::adjoint::TapeStep>,
+    tape: Vec<TapeStep>,
     /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep
     /// over the same tape; likewise capacity-retaining.
-    curvature: crate::adjoint::CurvatureScratch,
+    curvature: CurvatureScratch,
 }
 
 /// Pool of [`RolloutWorkspace`]s, built on first use and retained across
@@ -486,8 +496,9 @@ impl WorkspacePool {
                 RolloutWorkspace {
                     hees: source.clone(),
                     xp: Vec::new(),
+                    checkpoints: Vec::new(),
                     tape: Vec::new(),
-                    curvature: crate::adjoint::CurvatureScratch::default(),
+                    curvature: CurvatureScratch::default(),
                 }
             }
         }
@@ -522,57 +533,73 @@ impl std::fmt::Debug for WorkspacePool {
 }
 
 struct RolloutObjective<'a> {
-    plant: &'a MpcPlant,
-    loads: &'a [Watts],
-    dt: Seconds,
-    config: &'a MpcConfig,
+    /// The solve's rollout inputs; every full rollout rewinds its
+    /// workspace plant to `window.start`, exactly like a fresh clone.
+    window: Window<'a>,
     pool: &'a WorkspacePool,
-    /// The plant's state when the solve began; every rollout starts by
-    /// rewinding its workspace here, exactly like a fresh clone would.
-    start: HeesSnapshot,
     /// Telemetry sink for pool traffic ([`Event::PoolHit`] /
-    /// [`Event::PoolMiss`]).
+    /// [`Event::PoolMiss`]) and the phase spans.
     sink: &'a dyn Sink,
 }
 
 impl RolloutObjective<'_> {
-    /// One rollout through a workspace plant: rewind, simulate, score.
-    fn eval_with(&self, hees: &mut HybridHees, z: &[f64]) -> f64 {
-        hees.restore(self.start);
+    /// One call to the rollout body through a workspace plant — the only
+    /// way this objective rolls out, so [`Mpc::rollouts`] counts every
+    /// call exactly once.
+    fn rollout(&self, hees: &mut HybridHees, z: &[f64], from: &Checkpoint, record: Record) -> f64 {
         self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        rollout_cost_with(self.plant, hees, self.loads, self.dt, self.config, z)
+        adjoint::rollout(&self.window, hees, z, from, record)
     }
 
-    /// Central differences through one pooled workspace.
+    /// Central differences through one pooled workspace. One checkpoint
+    /// pass at `x` records the state before every stage; the `±h`
+    /// evaluations of coordinate `i` perturb stage `i mod horizon` and
+    /// resume there, so a gradient simulates `2N(N + 1) + N` stages
+    /// instead of `4N²`, bit-identical to full rollouts.
     fn gradient_fd(&self, x: &[f64], grad: &mut [f64]) {
         let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        ws.xp.clear();
-        ws.xp.extend_from_slice(x);
-        let RolloutWorkspace { hees, xp, .. } = &mut ws;
-        NumericalGradient::central_in_place(xp, grad, |z| self.eval_with(hees, z));
+        let mut ws = self.pool.take(&self.window.plant.hees, self.sink);
+        let RolloutWorkspace {
+            hees,
+            xp,
+            checkpoints,
+            ..
+        } = &mut ws;
+        self.rollout(
+            hees,
+            x,
+            &self.window.start,
+            Record::Checkpoints(checkpoints),
+        );
+        xp.clear();
+        xp.extend_from_slice(x);
+        let n = self.window.config.horizon;
+        NumericalGradient::central_in_place(xp, grad, |i, z| {
+            self.rollout(hees, z, &checkpoints[i % n], Record::Nothing)
+        });
         self.pool.put(ws);
+    }
+
+    /// One taped forward rollout at `x` through a pooled workspace, which
+    /// is returned holding the tape; the caller sweeps it and puts the
+    /// workspace back.
+    fn taped_rollout(&self, x: &[f64]) -> RolloutWorkspace {
+        let _rollout_span = span(self.sink, "rollout");
+        let mut ws = self.pool.take(&self.window.plant.hees, self.sink);
+        let RolloutWorkspace { hees, tape, .. } = &mut ws;
+        self.rollout(hees, x, &self.window.start, Record::Tape(tape));
+        ws
     }
 
     /// Reverse-mode gradient: one taped forward rollout plus an
     /// allocation-free backward sweep — the whole gradient for the price
     /// of a single rollout, independent of the horizon length.
     fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
-        let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let RolloutWorkspace { hees, tape, .. } = &mut ws;
-        hees.restore(self.start);
-        self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        crate::adjoint::rollout_cost_taped(
-            self.plant,
-            hees,
-            self.loads,
-            self.dt,
-            self.config,
-            x,
-            Some(tape),
-        );
-        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, tape, grad);
+        let ws = self.taped_rollout(x);
+        {
+            let _sweep_span = span(self.sink, "backward_sweep");
+            adjoint::adjoint_sweep(&self.window, &ws.tape, grad);
+        }
         self.pool.put(ws);
     }
 }
@@ -580,14 +607,14 @@ impl RolloutObjective<'_> {
 impl Objective for RolloutObjective<'_> {
     fn value(&self, z: &[f64]) -> f64 {
         let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
-        let cost = self.eval_with(&mut ws.hees, z);
+        let mut ws = self.pool.take(&self.window.plant.hees, self.sink);
+        let cost = self.rollout(&mut ws.hees, z, &self.window.start, Record::Nothing);
         self.pool.put(ws);
         cost
     }
 
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        self.gradient_with(x, grad, self.config.gradient_mode);
+        self.gradient_with(x, grad, self.window.config.gradient_mode);
     }
 
     // Explicit impl so every mode runs through pooled workspaces: the
@@ -610,35 +637,15 @@ impl CurvatureObjective for RolloutObjective<'_> {
     fn gradient_and_curvature(&self, x: &[f64], grad: &mut [f64], hess: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         assert_eq!(hess.len(), x.len() * x.len(), "curvature buffer mismatch");
-        let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.plant.hees, self.sink);
+        let mut ws = self.taped_rollout(x);
+        {
+            let _sweep_span = span(self.sink, "backward_sweep");
+            adjoint::adjoint_sweep(&self.window, &ws.tape, grad);
+        }
         let RolloutWorkspace {
-            hees,
-            tape,
-            curvature,
-            ..
+            tape, curvature, ..
         } = &mut ws;
-        hees.restore(self.start);
-        self.pool.rollouts.fetch_add(1, Ordering::Relaxed);
-        crate::adjoint::rollout_cost_taped(
-            self.plant,
-            hees,
-            self.loads,
-            self.dt,
-            self.config,
-            x,
-            Some(tape),
-        );
-        crate::adjoint::adjoint_sweep(self.plant, self.loads, self.dt, self.config, tape, grad);
-        crate::adjoint::tape_curvature(
-            self.plant,
-            self.loads,
-            self.dt,
-            self.config,
-            tape,
-            curvature,
-            hess,
-        );
+        adjoint::tape_curvature(&self.window, tape, curvature, hess);
         self.pool.put(ws);
     }
 }
@@ -656,26 +663,9 @@ pub fn rollout_cost(
     config: &MpcConfig,
     z: &[f64],
 ) -> f64 {
+    let window = Window::new(plant, loads, dt, config);
     let mut hees = plant.hees.clone();
-    rollout_cost_with(plant, &mut hees, loads, dt, config, z)
-}
-
-/// [`rollout_cost`] against a caller-provided HEES instance, which must
-/// already be in the plant's start state (`hees == plant.hees`); it is
-/// left in the end-of-horizon state. Allocation-free.
-///
-/// The implementation lives in [`crate::adjoint`] (untaped mode) so the
-/// adjoint's forward pass and the plain objective are the same code —
-/// bit-identical by construction.
-fn rollout_cost_with(
-    plant: &MpcPlant,
-    hees: &mut HybridHees,
-    loads: &[Watts],
-    dt: Seconds,
-    config: &MpcConfig,
-    z: &[f64],
-) -> f64 {
-    crate::adjoint::rollout_cost_taped(plant, hees, loads, dt, config, z, None)
+    adjoint::rollout(&window, &mut hees, z, &window.start, Record::Nothing)
 }
 
 /// Reverse-mode gradient of [`rollout_cost`]: one taped forward rollout
@@ -696,11 +686,17 @@ pub fn rollout_gradient_adjoint(
     z: &[f64],
     grad: &mut [f64],
 ) -> f64 {
+    let window = Window::new(plant, loads, dt, config);
     let mut hees = plant.hees.clone();
     let mut tape = Vec::with_capacity(config.horizon);
-    let cost =
-        crate::adjoint::rollout_cost_taped(plant, &mut hees, loads, dt, config, z, Some(&mut tape));
-    crate::adjoint::adjoint_sweep(plant, loads, dt, config, &tape, grad);
+    let cost = adjoint::rollout(
+        &window,
+        &mut hees,
+        z,
+        &window.start,
+        Record::Tape(&mut tape),
+    );
+    adjoint::adjoint_sweep(&window, &tape, grad);
     cost
 }
 
@@ -884,12 +880,8 @@ mod tests {
         let dt = Seconds::new(1.0);
         let pool = WorkspacePool::new();
         let objective = RolloutObjective {
-            plant: &p,
-            loads: &loads,
-            dt,
-            config: &cfg,
+            window: Window::new(&p, &loads, dt, &cfg),
             pool: &pool,
-            start: p.hees.snapshot(),
             sink: &NullSink,
         };
         let mut z = vec![0.0; 12];
@@ -924,12 +916,8 @@ mod tests {
         let dt = Seconds::new(1.0);
         let pool = WorkspacePool::new();
         let objective = RolloutObjective {
-            plant: &p,
-            loads: &loads,
-            dt,
-            config: &cfg,
+            window: Window::new(&p, &loads, dt, &cfg),
             pool: &pool,
-            start: p.hees.snapshot(),
             sink: &NullSink,
         };
         let dim = 16;
@@ -957,6 +945,115 @@ mod tests {
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "pooled serial gradient deviates from clone-based reference"
         );
+    }
+
+    /// splitmix64 step: one proptest seed expands into a whole plant
+    /// state, forecast and decision vector.
+    fn mix(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The checkpointed FD gradient resumes each perturbed rollout at
+        /// the stage it perturbs; it must still equal plain central
+        /// differences over full clone-based rollouts bit for bit —
+        /// including decisions pinned on the box bounds (cap share ±1,
+        /// duty 0 and 1) and duties beyond the clamp.
+        #[test]
+        fn checkpointed_fd_gradient_is_bit_identical_to_full_rollouts(
+            horizon in 1usize..17,
+            block in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = seed;
+            let mut draw = |lo: f64, hi: f64| lo + (hi - lo) * mix(&mut rng);
+            let config = SystemConfig::stress_rig();
+            let mut p = plant(&config);
+            p.hees.set_state(Ratio::new(draw(0.2, 1.0)), Ratio::new(draw(0.02, 1.0)));
+            p.state = ThermalState::uniform(Kelvin::from_celsius(draw(20.0, 42.0)));
+            let cfg = MpcConfig {
+                horizon,
+                block_size: block,
+                ..MpcConfig::default()
+            };
+            // Move blocking stretches each decision over `block` periods;
+            // the rollout sees that as a longer step.
+            let dt = Seconds::new(block as f64);
+            let loads: Vec<Watts> = (0..horizon)
+                .map(|_| Watts::new(draw(-30_000.0, 90_000.0)))
+                .collect();
+            // Four in ten coordinates sit on a bound or, for duties,
+            // beyond the clamp; the rest are uniform inside the box.
+            let z: Vec<f64> = (0..2 * horizon)
+                .map(|i| {
+                    let (pinned, inside): (&[f64], f64) = if i < horizon {
+                        (&[-1.0, 1.0], draw(-1.0, 1.0))
+                    } else {
+                        (&[0.0, 1.0, -0.25, 1.3], draw(0.0, 1.0))
+                    };
+                    if draw(0.0, 1.0) < 0.4 {
+                        pinned[(draw(0.0, pinned.len() as f64) as usize).min(pinned.len() - 1)]
+                    } else {
+                        inside
+                    }
+                })
+                .collect();
+
+            let reference_f =
+                otem_solver::FnObjective::new(|zz: &[f64]| rollout_cost(&p, &loads, dt, &cfg, zz));
+            let mut reference = vec![0.0; 2 * horizon];
+            NumericalGradient::central(&reference_f, &z, &mut reference);
+
+            let pool = WorkspacePool::new();
+            let objective = RolloutObjective {
+                window: Window::new(&p, &loads, dt, &cfg),
+                pool: &pool,
+                sink: &NullSink,
+            };
+            let mut checkpointed = vec![0.0; 2 * horizon];
+            objective.gradient_with(&z, &mut checkpointed, GradientMode::Serial);
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert!(
+                bits(&checkpointed) == bits(&reference),
+                "horizon {horizon} block {block} z {z:?}: {checkpointed:?} vs {reference:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_fd_gradient_counts_four_n_plus_one_rollouts() {
+        // The checkpoint pass plus two resumed suffixes per coordinate:
+        // every call to the rollout body counts once, whatever its
+        // length.
+        let config = SystemConfig::default();
+        let p = plant(&config);
+        for n in [1usize, 5, 12] {
+            let cfg = MpcConfig {
+                horizon: n,
+                ..MpcConfig::default()
+            };
+            let loads = vec![Watts::new(25_000.0); n];
+            let pool = WorkspacePool::new();
+            let objective = RolloutObjective {
+                window: Window::new(&p, &loads, Seconds::new(1.0), &cfg),
+                pool: &pool,
+                sink: &NullSink,
+            };
+            let z = vec![0.3; 2 * n];
+            let mut grad = vec![0.0; 2 * n];
+            objective.gradient_with(&z, &mut grad, GradientMode::Serial);
+            assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 1);
+            objective.value(&z);
+            assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 2);
+            objective.gradient_with(&z, &mut grad, GradientMode::Adjoint);
+            assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 3);
+        }
     }
 
     #[test]
@@ -1098,6 +1195,63 @@ mod tests {
             sink.count_kind("span_end"),
             "unbalanced span stream"
         );
+    }
+
+    #[test]
+    fn backward_sweep_has_its_own_span_beside_the_taped_rollout() {
+        use otem_telemetry::{Event as TEvent, MemorySink};
+        let config = SystemConfig::default();
+        let p = plant(&config);
+        let loads = vec![Watts::new(30_000.0); 6];
+        for mode in [GradientMode::Adjoint, GradientMode::GaussNewton] {
+            let mut mpc = Mpc::new(MpcConfig {
+                horizon: 6,
+                solver_iterations: 4,
+                gradient_mode: mode,
+                ..MpcConfig::default()
+            });
+            let sink = MemorySink::new();
+            mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
+            let starts: Vec<(&str, u64, u64)> = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TEvent::SpanStart {
+                        name, id, parent, ..
+                    } => Some((*name, *id, *parent)),
+                    _ => None,
+                })
+                .collect();
+            let name_of = |id: u64| starts.iter().find(|s| s.1 == id).map(|s| s.0);
+            let sweeps: Vec<_> = starts
+                .iter()
+                .filter(|(name, ..)| *name == "backward_sweep")
+                .collect();
+            assert!(!sweeps.is_empty(), "{mode:?}: no backward_sweep span");
+            for (_, _, parent) in sweeps {
+                assert_eq!(name_of(*parent), Some("gradient"), "{mode:?}");
+            }
+            assert_eq!(
+                sink.total_kind("span_start"),
+                sink.total_kind("span_end"),
+                "{mode:?}: unbalanced span stream"
+            );
+        }
+        // Finite differences have no backward sweep.
+        let mut fd = Mpc::new(MpcConfig {
+            horizon: 6,
+            solver_iterations: 4,
+            ..MpcConfig::default()
+        });
+        let sink = MemorySink::new();
+        fd.solve_with(&p, &loads, Seconds::new(1.0), &sink);
+        assert!(!sink.events().iter().any(|e| matches!(
+            e,
+            TEvent::SpanStart {
+                name: "backward_sweep",
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1427,12 +1581,19 @@ mod tests {
             .collect();
         let m = 2 * n;
 
+        let window = Window::new(&p, &loads, dt, &cfg);
         let mut hees = p.hees.clone();
         let mut tape = Vec::new();
-        crate::adjoint::rollout_cost_taped(&p, &mut hees, &loads, dt, &cfg, &z, Some(&mut tape));
-        let mut scratch = crate::adjoint::CurvatureScratch::default();
+        adjoint::rollout(
+            &window,
+            &mut hees,
+            &z,
+            &window.start,
+            Record::Tape(&mut tape),
+        );
+        let mut scratch = CurvatureScratch::default();
         let mut hess = vec![0.0; m * m];
-        crate::adjoint::tape_curvature(&p, &loads, dt, &cfg, &tape, &mut scratch, &mut hess);
+        adjoint::tape_curvature(&window, &tape, &mut scratch, &mut hess);
 
         assert!(hess.iter().all(|v| v.is_finite()));
         let scale = hess.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));

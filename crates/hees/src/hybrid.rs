@@ -255,8 +255,10 @@ impl HybridHees {
     /// The forward dynamics are the *same code path* as
     /// [`HybridHees::step`] — results are bit-identical — with pure
     /// derivative reads layered onto whichever branches execute. One
-    /// call per horizon step is what lets the MPC adjoint replace
-    /// `O(horizon)` finite-difference rollouts per gradient.
+    /// call per horizon step is what lets the MPC adjoint replace the
+    /// `O(horizon²)` plant steps of a finite-difference gradient
+    /// (`2·horizon·(horizon + 1) + horizon` even with checkpointed
+    /// prefixes) with one taped rollout.
     pub fn step_with_jacobian(
         &mut self,
         command: HybridCommand,

@@ -174,7 +174,7 @@ impl NumericalGradient {
     pub fn central<F: Objective + ?Sized>(f: &F, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
         let mut xp = x.to_vec();
-        Self::central_in_place(&mut xp, grad, |z| f.value(z));
+        Self::central_in_place(&mut xp, grad, |_, z| f.value(z));
     }
 
     /// Central-difference kernel with caller-owned scratch.
@@ -183,22 +183,29 @@ impl NumericalGradient {
     /// one coordinate at a time and restored exactly, so after the call
     /// it again equals the input point bit-for-bit.
     ///
-    /// `eval` is `FnMut` so callers can route evaluations through
-    /// mutable scratch state (e.g. a reusable plant model) without
-    /// interior mutability.
+    /// `eval(i, z)` is told which coordinate `i` of `z` is perturbed, so
+    /// a caller whose objective ignores `z[i]` up to some point (e.g. a
+    /// rollout whose prefix only earlier coordinates drive) can resume
+    /// from work done once at the unperturbed point. `eval` is `FnMut` so
+    /// callers can route evaluations through mutable scratch state
+    /// (e.g. a reusable plant model) without interior mutability.
     ///
     /// # Panics
     ///
     /// Panics if `grad.len() != xp.len()`.
-    pub fn central_in_place(xp: &mut [f64], grad: &mut [f64], mut eval: impl FnMut(&[f64]) -> f64) {
+    pub fn central_in_place(
+        xp: &mut [f64],
+        grad: &mut [f64],
+        mut eval: impl FnMut(usize, &[f64]) -> f64,
+    ) {
         assert_eq!(grad.len(), xp.len(), "gradient buffer length mismatch");
         for (i, g) in grad.iter_mut().enumerate() {
             let orig = xp[i];
             let h = Self::REL_STEP * orig.abs().max(1.0);
             xp[i] = orig + h;
-            let fp = eval(xp);
+            let fp = eval(i, xp);
             xp[i] = orig - h;
-            let fm = eval(xp);
+            let fm = eval(i, xp);
             xp[i] = orig;
             *g = (fp - fm) / (2.0 * h);
         }
@@ -277,7 +284,7 @@ mod tests {
         let x = [1.0, -2.0, 3.5];
         let mut xp = x.to_vec();
         let mut grad = [0.0; 3];
-        NumericalGradient::central_in_place(&mut xp, &mut grad, |z| z.iter().sum());
+        NumericalGradient::central_in_place(&mut xp, &mut grad, |_, z| z.iter().sum());
         assert_eq!(xp, x);
         assert!(grad.iter().all(|g| (g - 1.0).abs() < 1e-9), "{grad:?}");
     }

@@ -29,8 +29,11 @@ pub enum Event {
         /// Step length entering this iteration's line search.
         step: f64,
     },
-    /// One full gradient evaluation (the MPC's dominant cost: `4·n`
-    /// plant rollouts for an `n`-block horizon).
+    /// One full gradient evaluation (the MPC's dominant cost: for an
+    /// `n`-block horizon, central finite differences make `4·n + 1`
+    /// rollout calls — a checkpoint pass plus `4·n` suffixes resumed at
+    /// the perturbed stage, `2n(n + 1) + n` stage evaluations in all —
+    /// and the adjoint one taped rollout).
     GradientEval {
         /// Problem dimension (gradient coordinates evaluated).
         dim: u64,

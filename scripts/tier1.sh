@@ -30,6 +30,16 @@ cargo build --workspace --examples
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+# Benchmark gate: the e2ebench package (its own workspace) must still
+# build against the public API and pass its tests, and a zero-second
+# fleet_reactive run exits non-zero unless its checksum matches the
+# committed reference. Built into the workspace target/ so the
+# dependencies compiled above are reused.
+step "e2ebench tests + fleet_reactive reference checksum"
+CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+CARGO_TARGET_DIR=target cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload fleet_reactive --seed 1 --seconds 0 --trace 0 >/dev/null
+
 # Flake gate: a scheduling-dependent assertion must fail tier-1, not
 # pass most runs. The fleet and telemetry lib test binaries run 20 times
 # with default threads and 20 times with --test-threads=1.
