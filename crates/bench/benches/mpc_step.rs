@@ -3,10 +3,9 @@
 //! ample margin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use otem::mpc::{Mpc, MpcConfig, MpcPlant};
+use otem::mpc::{GradientMode, Mpc, MpcConfig, MpcPlant};
 use otem::SystemConfig;
 use otem_hees::HybridHees;
-use otem_solver::GradientMode;
 use otem_thermal::{CoolingPlant, ThermalModel, ThermalState};
 use otem_units::{Kelvin, Ratio, Seconds, Watts};
 

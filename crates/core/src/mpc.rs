@@ -22,12 +22,11 @@
 //! warm-started from the previous period's shifted solution (standard
 //! receding-horizon practice).
 
-use crate::adjoint::{self, Checkpoint, CurvatureScratch, Record, TapeStep, Window};
+use crate::adjoint::{self, Checkpoint, Record, TapeStep, Window};
 use otem_battery::AgingParams;
 use otem_hees::HybridHees;
 use otem_solver::{
-    Bounds, CurvatureObjective, Deadline, GaussNewton, GradientMode, NumericalGradient, Objective,
-    ProjectedGradient, Solution, SolverOutcome,
+    Bounds, Deadline, NumericalGradient, Objective, ProjectedGradient, Solution, SolverOutcome,
 };
 pub use otem_solver::{Clock, MonotonicClock, VirtualClock};
 use otem_telemetry::{span, Event, NullSink, Sink};
@@ -36,6 +35,36 @@ use otem_units::{Kelvin, Ratio, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// How the MPC evaluates the gradient of its rollout objective.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GradientMode {
+    /// Central finite differences over prefix-checkpointed rollouts: one
+    /// checkpoint pass, then each of the `4·horizon` perturbed
+    /// evaluations resumes at the stage it perturbs
+    /// (`2·horizon·(horizon + 1) + horizon` stage evaluations per
+    /// gradient, bit-identical to full rollouts). The reference the
+    /// adjoint is tested against.
+    #[default]
+    Serial,
+    /// Reverse-mode (adjoint) gradient: one taped forward rollout plus
+    /// one backward sweep (see the `adjoint` module), independent of the
+    /// horizon. Matches finite differences to ~1e-6 relative error away
+    /// from penalty kinks.
+    Adjoint,
+}
+
+impl GradientMode {
+    /// Stable snake_case mode name — the `mode` label on solve-outcome
+    /// telemetry and the `otem_solve_outcome_total{mode,outcome}`
+    /// metric family.
+    pub const fn name(&self) -> &'static str {
+        match self {
+            GradientMode::Serial => "serial",
+            GradientMode::Adjoint => "adjoint",
+        }
+    }
+}
 
 /// Tuning of the OTEM optimisation (Eq. 19 weights, horizon, penalties).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,18 +104,9 @@ pub struct MpcConfig {
     /// block's move is applied for one control period and the problem is
     /// re-solved (standard receding-horizon practice).
     pub block_size: usize,
-    /// How the gradient of the rollout objective is evaluated.
-    /// [`GradientMode::Serial`] is plain central finite differences
-    /// over prefix-checkpointed rollouts: one checkpoint pass, then each
-    /// of the `4·horizon` perturbed evaluations resumes at the stage it
-    /// perturbs (`2·horizon·(horizon + 1) + horizon` stage evaluations
-    /// per gradient, bit-identical to full rollouts); [`GradientMode::Adjoint`]
-    /// replaces finite differences entirely with a hand-derived
-    /// reverse-mode sweep — one taped rollout per gradient regardless of
-    /// the horizon (see `adjoint` module), matching FD to ~1e-6 relative
-    /// error away from penalty kinks; [`GradientMode::GaussNewton`] additionally
-    /// assembles a Gauss-Newton curvature matrix from the *same* tape
-    /// and solves with a projected Levenberg–Marquardt step.
+    /// How the gradient of the rollout objective is evaluated: central
+    /// finite differences ([`GradientMode::Serial`]) or the reverse-mode
+    /// sweep ([`GradientMode::Adjoint`]).
     pub gradient_mode: GradientMode,
     /// Optional per-solve compute budget in nanoseconds (the *anytime*
     /// contract): the inner solver polls its [`Clock`] once per outer
@@ -200,7 +220,6 @@ impl Mpc {
         let solver = ProjectedGradient {
             max_iterations: config.solver_iterations,
             tolerance: 1e-5,
-            gradient_mode: config.gradient_mode,
             ..ProjectedGradient::default()
         };
         let n = config.horizon;
@@ -272,9 +291,9 @@ impl Mpc {
 
     /// Calls to the rollout body made by [`Mpc::solve`] so far, exact
     /// and monotone. Every call counts once: each objective value (line
-    /// search included), each taped pass of the adjoint and
-    /// Gauss-Newton modes, and in finite-difference mode the checkpoint
-    /// pass plus each resumed suffix — `4·horizon + 1` per FD gradient.
+    /// search included), each taped pass of the adjoint mode, and in
+    /// finite-difference mode the checkpoint pass plus each resumed
+    /// suffix — `4·horizon + 1` per FD gradient.
     ///
     /// A call is not a fixed amount of work: a resumed suffix that
     /// perturbs stage `k` simulates only stages `k..horizon` plus the
@@ -345,22 +364,7 @@ impl Mpc {
             value,
             iterations,
             outcome,
-        } = if self.config.gradient_mode == GradientMode::GaussNewton {
-            let gauss_newton = GaussNewton {
-                max_iterations: solver.max_iterations,
-                tolerance: solver.tolerance,
-                ..GaussNewton::default()
-            };
-            gauss_newton.minimize_within(
-                &objective,
-                &self.bounds,
-                &self.x0,
-                sink,
-                deadline.as_ref(),
-            )
-        } else {
-            solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref())
-        };
+        } = solver.minimize_within(&objective, &self.bounds, &self.x0, sink, deadline.as_ref());
         sink.record(Event::SolveOutcome {
             outcome: outcome.name(),
             mode: self.config.gradient_mode.name(),
@@ -442,9 +446,6 @@ struct RolloutWorkspace {
     /// across solves, so steady-state adjoint gradients allocate
     /// nothing.
     tape: Vec<TapeStep>,
-    /// Forward-sensitivity buffers for the Gauss-Newton curvature sweep
-    /// over the same tape; likewise capacity-retaining.
-    curvature: CurvatureScratch,
 }
 
 /// Pool of [`RolloutWorkspace`]s, built on first use and retained across
@@ -498,7 +499,6 @@ impl WorkspacePool {
                     xp: Vec::new(),
                     checkpoints: Vec::new(),
                     tape: Vec::new(),
-                    curvature: CurvatureScratch::default(),
                 }
             }
         }
@@ -580,22 +580,15 @@ impl RolloutObjective<'_> {
         self.pool.put(ws);
     }
 
-    /// One taped forward rollout at `x` through a pooled workspace, which
-    /// is returned holding the tape; the caller sweeps it and puts the
-    /// workspace back.
-    fn taped_rollout(&self, x: &[f64]) -> RolloutWorkspace {
-        let _rollout_span = span(self.sink, "rollout");
-        let mut ws = self.pool.take(&self.window.plant.hees, self.sink);
-        let RolloutWorkspace { hees, tape, .. } = &mut ws;
-        self.rollout(hees, x, &self.window.start, Record::Tape(tape));
-        ws
-    }
-
     /// Reverse-mode gradient: one taped forward rollout plus an
     /// allocation-free backward sweep — the whole gradient for the price
     /// of a single rollout, independent of the horizon length.
     fn gradient_adjoint(&self, x: &[f64], grad: &mut [f64]) {
-        let ws = self.taped_rollout(x);
+        let rollout_span = span(self.sink, "rollout");
+        let mut ws = self.pool.take(&self.window.plant.hees, self.sink);
+        let RolloutWorkspace { hees, tape, .. } = &mut ws;
+        self.rollout(hees, x, &self.window.start, Record::Tape(tape));
+        rollout_span.close();
         {
             let _sweep_span = span(self.sink, "backward_sweep");
             adjoint::adjoint_sweep(&self.window, &ws.tape, grad);
@@ -613,40 +606,15 @@ impl Objective for RolloutObjective<'_> {
         cost
     }
 
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        self.gradient_with(x, grad, self.window.config.gradient_mode);
-    }
-
-    // Explicit impl so every mode runs through pooled workspaces: the
+    // Explicit impl so both modes run through pooled workspaces: the
     // default finite-difference path would deep-clone the plant per
     // rollout.
-    fn gradient_with(&self, x: &[f64], grad: &mut [f64], mode: GradientMode) {
+    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        match mode {
+        match self.window.config.gradient_mode {
             GradientMode::Serial => self.gradient_fd(x, grad),
-            GradientMode::Adjoint | GradientMode::GaussNewton => self.gradient_adjoint(x, grad),
+            GradientMode::Adjoint => self.gradient_adjoint(x, grad),
         }
-    }
-}
-
-impl CurvatureObjective for RolloutObjective<'_> {
-    /// One taped rollout, then *two* consumers of the same tape: the
-    /// backward sweep for the gradient and the forward sensitivity
-    /// sweep for the Gauss-Newton curvature. No extra rollouts, no new
-    /// model derivatives.
-    fn gradient_and_curvature(&self, x: &[f64], grad: &mut [f64], hess: &mut [f64]) {
-        assert_eq!(grad.len(), x.len(), "gradient buffer length mismatch");
-        assert_eq!(hess.len(), x.len() * x.len(), "curvature buffer mismatch");
-        let mut ws = self.taped_rollout(x);
-        {
-            let _sweep_span = span(self.sink, "backward_sweep");
-            adjoint::adjoint_sweep(&self.window, &ws.tape, grad);
-        }
-        let RolloutWorkspace {
-            tape, curvature, ..
-        } = &mut ws;
-        adjoint::tape_curvature(&self.window, tape, curvature, hess);
-        self.pool.put(ws);
     }
 }
 
@@ -939,7 +907,7 @@ mod tests {
         NumericalGradient::central(&reference_f, &z, &mut reference);
 
         let mut serial = vec![0.0; dim];
-        objective.gradient_with(&z, &mut serial, GradientMode::Serial);
+        objective.gradient_fd(&z, &mut serial);
         assert_eq!(
             serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1017,7 +985,7 @@ mod tests {
                 sink: &NullSink,
             };
             let mut checkpointed = vec![0.0; 2 * horizon];
-            objective.gradient_with(&z, &mut checkpointed, GradientMode::Serial);
+            objective.gradient_fd(&z, &mut checkpointed);
             let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert!(
                 bits(&checkpointed) == bits(&reference),
@@ -1047,11 +1015,11 @@ mod tests {
             };
             let z = vec![0.3; 2 * n];
             let mut grad = vec![0.0; 2 * n];
-            objective.gradient_with(&z, &mut grad, GradientMode::Serial);
+            objective.gradient_fd(&z, &mut grad);
             assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 1);
             objective.value(&z);
             assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 2);
-            objective.gradient_with(&z, &mut grad, GradientMode::Adjoint);
+            objective.gradient_adjoint(&z, &mut grad);
             assert_eq!(pool.rollouts.load(Ordering::Relaxed), 4 * n as u64 + 3);
         }
     }
@@ -1203,40 +1171,38 @@ mod tests {
         let config = SystemConfig::default();
         let p = plant(&config);
         let loads = vec![Watts::new(30_000.0); 6];
-        for mode in [GradientMode::Adjoint, GradientMode::GaussNewton] {
-            let mut mpc = Mpc::new(MpcConfig {
-                horizon: 6,
-                solver_iterations: 4,
-                gradient_mode: mode,
-                ..MpcConfig::default()
-            });
-            let sink = MemorySink::new();
-            mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
-            let starts: Vec<(&str, u64, u64)> = sink
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    TEvent::SpanStart {
-                        name, id, parent, ..
-                    } => Some((*name, *id, *parent)),
-                    _ => None,
-                })
-                .collect();
-            let name_of = |id: u64| starts.iter().find(|s| s.1 == id).map(|s| s.0);
-            let sweeps: Vec<_> = starts
-                .iter()
-                .filter(|(name, ..)| *name == "backward_sweep")
-                .collect();
-            assert!(!sweeps.is_empty(), "{mode:?}: no backward_sweep span");
-            for (_, _, parent) in sweeps {
-                assert_eq!(name_of(*parent), Some("gradient"), "{mode:?}");
-            }
-            assert_eq!(
-                sink.total_kind("span_start"),
-                sink.total_kind("span_end"),
-                "{mode:?}: unbalanced span stream"
-            );
+        let mut mpc = Mpc::new(MpcConfig {
+            horizon: 6,
+            solver_iterations: 4,
+            gradient_mode: GradientMode::Adjoint,
+            ..MpcConfig::default()
+        });
+        let sink = MemorySink::new();
+        mpc.solve_with(&p, &loads, Seconds::new(1.0), &sink);
+        let starts: Vec<(&str, u64, u64)> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TEvent::SpanStart {
+                    name, id, parent, ..
+                } => Some((*name, *id, *parent)),
+                _ => None,
+            })
+            .collect();
+        let name_of = |id: u64| starts.iter().find(|s| s.1 == id).map(|s| s.0);
+        let sweeps: Vec<_> = starts
+            .iter()
+            .filter(|(name, ..)| *name == "backward_sweep")
+            .collect();
+        assert!(!sweeps.is_empty(), "no backward_sweep span");
+        for (_, _, parent) in sweeps {
+            assert_eq!(name_of(*parent), Some("gradient"));
         }
+        assert_eq!(
+            sink.total_kind("span_start"),
+            sink.total_kind("span_end"),
+            "unbalanced span stream"
+        );
         // Finite differences have no backward sweep.
         let mut fd = Mpc::new(MpcConfig {
             horizon: 6,
@@ -1468,169 +1434,6 @@ mod tests {
         // Telemetry keeps flowing unchanged through the same spans.
         assert!(sink.count_kind("gradient_eval") > 0);
         assert!(sink.count_kind("solver_iteration") > 0);
-    }
-
-    #[test]
-    fn gauss_newton_mode_converges_where_first_order_exhausts_its_budget() {
-        // Nominal regime (33 °C, mixed traction load): the aging term
-        // dominates the objective and its eigen-clipped curvature rides
-        // the tape, so the second-order mode certifies convergence in a
-        // fraction of the first-order iteration spend. Measured on this
-        // rig: Gauss-Newton converges in ~60–70 iterations per solve
-        // while spectral projected descent burns the full 400-iteration
-        // budget without reaching tolerance.
-        let config = SystemConfig::default();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(33.0));
-        let loads: Vec<Watts> = (0..12)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        let mut adj = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::Adjoint,
-            ..MpcConfig::default()
-        });
-        let mut gn = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::GaussNewton,
-            ..MpcConfig::default()
-        });
-        let (mut adj_iters, mut gn_iters) = (0usize, 0usize);
-        let mut last = None;
-        for _ in 0..4 {
-            let a = adj.solve(&p, &loads, Seconds::new(1.0));
-            let b = gn.solve(&p, &loads, Seconds::new(1.0));
-            assert!(a.cap_bus.is_finite() && b.cap_bus.is_finite());
-            assert!((0.0..=1.0).contains(&b.cool_duty), "{b:?}");
-            adj_iters += a.iterations;
-            gn_iters += b.iterations;
-            last = Some(b.outcome);
-        }
-        assert_eq!(last, Some(SolverOutcome::Converged));
-        assert!(
-            gn_iters < adj_iters,
-            "Gauss-Newton spent {gn_iters} iterations, adjoint {adj_iters}"
-        );
-    }
-
-    #[test]
-    fn gauss_newton_mode_stays_usable_on_the_hot_rig() {
-        // Thermally saturated rig (39 °C, soft ceiling active): the
-        // relu-penalty `r·∇²r` Newton term missing from the tape is
-        // large here, so no iteration advantage is claimed — but every
-        // solve must stay finite, in-bounds, and usable, with warm
-        // starts carrying across solves.
-        let config = SystemConfig::stress_rig();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(39.0));
-        let loads: Vec<Watts> = (0..12)
-            .map(|k| Watts::new(20_000.0 + 40_000.0 * ((k % 5) as f64 / 4.0)))
-            .collect();
-        let mut gn = Mpc::new(MpcConfig {
-            horizon: 12,
-            solver_iterations: 400,
-            gradient_mode: GradientMode::GaussNewton,
-            ..MpcConfig::default()
-        });
-        let mut prev_cost = f64::INFINITY;
-        for _ in 0..4 {
-            let b = gn.solve(&p, &loads, Seconds::new(1.0));
-            assert!(b.cap_bus.is_finite(), "{b:?}");
-            assert!((0.0..=1.0).contains(&b.cool_duty), "{b:?}");
-            assert!(b.outcome.is_usable(), "{b:?}");
-            // Warm-started repeats of the identical problem never
-            // regress the achieved cost by more than float noise.
-            assert!(b.cost <= prev_cost * (1.0 + 1e-9), "{b:?}");
-            prev_cost = b.cost;
-        }
-    }
-
-    #[test]
-    fn tape_curvature_is_symmetric_psd_and_matches_fd_on_penalties() {
-        // Penalty-only objective just above the soft ceiling: the
-        // Gauss-Newton matrix of `p·relu(r)²` terms is `Σ 2p·∇r∇rᵀ`,
-        // which drops the `r·∇²r` Newton term. That dropped term scales
-        // linearly with the residual, so in the small-residual regime
-        // (ceiling barely exceeded, gentle heating) the second
-        // difference of the exact cost must land within the loose band;
-        // far above the ceiling the truncation dominates by design.
-        let config = SystemConfig::stress_rig();
-        let mut p = plant(&config);
-        p.state = ThermalState::uniform(Kelvin::from_celsius(38.01));
-        let n = 6;
-        let cfg = MpcConfig {
-            horizon: n,
-            w1: 0.0,
-            w2: 0.0,
-            w3: 0.0,
-            terminal_tail: 0.0,
-            ..MpcConfig::default()
-        };
-        let loads = vec![Watts::new(20_000.0); n];
-        let dt = Seconds::new(1.0);
-        let z: Vec<f64> = (0..2 * n)
-            .map(|i| {
-                if i < n {
-                    0.06 * i as f64 - 0.18
-                } else {
-                    0.02 * (i - n) as f64 + 0.05
-                }
-            })
-            .collect();
-        let m = 2 * n;
-
-        let window = Window::new(&p, &loads, dt, &cfg);
-        let mut hees = p.hees.clone();
-        let mut tape = Vec::new();
-        adjoint::rollout(
-            &window,
-            &mut hees,
-            &z,
-            &window.start,
-            Record::Tape(&mut tape),
-        );
-        let mut scratch = CurvatureScratch::default();
-        let mut hess = vec![0.0; m * m];
-        adjoint::tape_curvature(&window, &tape, &mut scratch, &mut hess);
-
-        assert!(hess.iter().all(|v| v.is_finite()));
-        let scale = hess.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
-        assert!(scale > 0.0, "stressed rig must activate some penalty");
-        for i in 0..m {
-            assert!(hess[i * m + i] >= 0.0, "negative diagonal at {i}");
-            for j in 0..m {
-                assert!(
-                    (hess[i * m + j] - hess[j * m + i]).abs() <= 1e-9 * scale,
-                    "asymmetry at ({i}, {j})"
-                );
-            }
-        }
-
-        // Directional curvature against second differences of the exact
-        // penalty-only cost. The Gauss-Newton matrix drops the
-        // `r·∇²r` term, so agree loosely but decisively.
-        let f = |zz: &[f64]| rollout_cost(&p, &loads, dt, &cfg, zz);
-        let d: Vec<f64> = (0..m).map(|i| ((i % 3) as f64 - 1.0) * 0.5).collect();
-        let h = 1e-5;
-        let (mut zp, mut zm) = (z.clone(), z.clone());
-        for i in 0..m {
-            zp[i] += h * d[i];
-            zm[i] -= h * d[i];
-        }
-        let fd_curv = (f(&zp) - 2.0 * f(&z) + f(&zm)) / (h * h);
-        let gn_curv: f64 = (0..m)
-            .map(|i| d[i] * (0..m).map(|j| hess[i * m + j] * d[j]).sum::<f64>())
-            .sum();
-        assert!(
-            gn_curv > 0.0 && fd_curv > 0.0,
-            "expected positive curvature: GN {gn_curv:.3e} FD {fd_curv:.3e}"
-        );
-        assert!(
-            (gn_curv - fd_curv).abs() <= 0.5 * fd_curv.abs(),
-            "curvature mismatch: GN {gn_curv:.3e} vs FD {fd_curv:.3e}"
-        );
     }
 
     #[test]

@@ -157,6 +157,10 @@ const MAX_MPC_HORIZON: u64 = 256;
 /// Largest accepted `mpc_iterations` (solver iterations per solve).
 const MAX_MPC_ITERATIONS: u64 = 1_000;
 
+/// Largest accepted fleet `shards`: each shard is one scoped OS thread,
+/// and the engine clamps the width only to the vehicle count.
+const MAX_FLEET_SHARDS: u64 = 64;
+
 /// Extracts an optional count field, defaulting when absent and
 /// rejecting values outside `1..=max`.
 fn parse_count(body: &str, key: &str, default: u64, max: u64) -> Result<usize, ParseError> {
@@ -168,13 +172,19 @@ fn parse_count(body: &str, key: &str, default: u64, max: u64) -> Result<usize, P
 }
 
 impl SimulateRequest {
-    /// Parses a request body. A body with a `"vehicles"` count is a
-    /// fleet request; anything else is a single vehicle with defaults
-    /// for every omitted field.
+    /// Parses a request body. A body with a `"vehicles"` key is a fleet
+    /// request, and its value must be a count; anything else is a single
+    /// vehicle with defaults for every omitted field.
     pub fn parse(body: &str) -> Result<Self, ParseError> {
-        if let Some(vehicles) = json_u64(body, "vehicles") {
+        if field_value(body, "vehicles").is_some() {
+            let vehicles = json_u64(body, "vehicles")
+                .ok_or("\"vehicles\" must be an unsigned 64-bit integer")?;
             if vehicles == 0 {
                 return Err("\"vehicles\" must be ≥ 1".into());
+            }
+            let shards = json_u64(body, "shards").unwrap_or(0);
+            if shards > MAX_FLEET_SHARDS {
+                return Err(format!("\"shards\" must be ≤ {MAX_FLEET_SHARDS}"));
             }
             let schedule = match json_str(body, "schedule") {
                 None | Some("steal") => "steal",
@@ -193,7 +203,7 @@ impl SimulateRequest {
             return Ok(Self::Fleet {
                 vehicles: vehicles as usize,
                 seed: json_u64(body, "seed").unwrap_or(42),
-                shards: json_u64(body, "shards").unwrap_or(0) as usize,
+                shards: shards as usize,
                 schedule,
                 mpc_deadline_us: parse_deadline_us(body)?,
                 poison_id,
@@ -403,6 +413,19 @@ mod tests {
         assert!(SimulateRequest::parse("{\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"mpc_deadline_us\":10000001}").is_err());
         assert!(SimulateRequest::parse("{\"vehicles\":4,\"poison_id\":4}").is_err());
+        for bad in [
+            "{\"vehicles\":8,\"shards\":65}",
+            "{\"vehicles\":8,\"shards\":100000}",
+            "{\"vehicles\":\"8\"}",
+            "{\"vehicles\":-1}",
+            "{\"vehicles\":18446744073709551616}",
+        ] {
+            assert!(SimulateRequest::parse(bad).is_err(), "{bad} accepted");
+        }
+        match SimulateRequest::parse("{\"vehicles\":8,\"shards\":64}") {
+            Ok(SimulateRequest::Fleet { shards: 64, .. }) => {}
+            other => panic!("shards at the cap must parse, got {other:?}"),
+        }
         for bad in [
             "{\"mpc_horizon\":0}",
             "{\"mpc_horizon\":257}",

@@ -6,13 +6,10 @@
 //! from scratch:
 //!
 //! * [`ProjectedGradient`] — Barzilai–Borwein spectral gradient descent
-//!   projected onto box constraints (the workhorse for the MPC's
+//!   projected onto box constraints (the MPC's solver for its
 //!   single-shooting transcription),
 //! * [`NumericalGradient`] — central finite differences for objectives
 //!   without analytic gradients,
-//! * [`GaussNewton`] — projected Levenberg–Marquardt over a
-//!   [`CurvatureObjective`] (for the MPC: the Gauss-Newton matrix is
-//!   assembled from the same adjoint tape as the gradient),
 //! * [`Clock`] / [`Deadline`] — pluggable time sources for *anytime*
 //!   solves: [`MonotonicClock`] in production, [`VirtualClock`] in tests
 //!   (deadline behaviour becomes bit-reproducible).
@@ -35,14 +32,12 @@
 
 mod bounds;
 mod clock;
-mod gauss_newton;
 mod objective;
 mod projected;
 mod solution;
 
 pub use bounds::Bounds;
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};
-pub use gauss_newton::{CurvatureObjective, DenseLeastSquares, GaussNewton};
-pub use objective::{FnObjective, FnObjectiveWithGrad, GradientMode, NumericalGradient, Objective};
+pub use objective::{FnObjective, FnObjectiveWithGrad, NumericalGradient, Objective};
 pub use projected::ProjectedGradient;
 pub use solution::{Solution, SolverOutcome};

@@ -1,48 +1,5 @@
 //! The objective-function abstraction and finite-difference gradients.
 
-use serde::{Deserialize, Serialize};
-
-/// How a solver evaluates gradients.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GradientMode {
-    /// Central finite differences, one coordinate at a time
-    /// ([`NumericalGradient`]), unless the objective has an analytic
-    /// [`Objective::gradient`].
-    #[default]
-    Serial,
-    /// Reverse-mode (adjoint) analytic gradient: one taped forward
-    /// rollout plus one backward sweep, independent of the decision
-    /// dimension — `O(1)` objective evaluations per gradient instead of
-    /// the `O(n)` a finite-difference fan-out needs.
-    ///
-    /// Objectives without an adjoint implementation treat this as
-    /// [`GradientMode::Serial`] (the trait default falls back to
-    /// [`Objective::gradient`]).
-    Adjoint,
-    /// Second-order mode: the adjoint gradient plus a Gauss-Newton
-    /// curvature matrix assembled from the same tape, consumed by the
-    /// [`GaussNewton`](crate::GaussNewton) projected Levenberg–Marquardt
-    /// solver instead of the first-order spectral method.
-    ///
-    /// As a plain *gradient* mode (for objectives or solvers that only
-    /// ask for `∇f`) it is equivalent to [`GradientMode::Adjoint`]: the
-    /// gradient half of the pair is the same backward sweep.
-    GaussNewton,
-}
-
-impl GradientMode {
-    /// Stable snake_case mode name — the `mode` label on solve-outcome
-    /// telemetry and the `otem_solve_outcome_total{mode,outcome}`
-    /// metric family.
-    pub const fn name(&self) -> &'static str {
-        match self {
-            GradientMode::Serial => "serial",
-            GradientMode::Adjoint => "adjoint",
-            GradientMode::GaussNewton => "gauss_newton",
-        }
-    }
-}
-
 /// A differentiable objective function `f: Rⁿ → R`.
 ///
 /// Implementations may provide an analytic [`Objective::gradient`];
@@ -58,31 +15,6 @@ pub trait Objective {
     /// (2·n extra evaluations).
     fn gradient(&self, x: &[f64], grad: &mut [f64]) {
         NumericalGradient::central(self, x, grad);
-    }
-
-    /// Writes `∇f(x)` into `grad` using the requested [`GradientMode`].
-    ///
-    /// The default ignores the mode and calls [`Objective::gradient`]
-    /// (which may be analytic). Objectives with an adjoint gradient
-    /// (e.g. the MPC rollout objective) override this to route
-    /// [`GradientMode::Adjoint`] and [`GradientMode::GaussNewton`]
-    /// through it.
-    fn gradient_with(&self, x: &[f64], grad: &mut [f64], _mode: GradientMode) {
-        self.gradient(x, grad);
-    }
-}
-
-impl<T: Objective + ?Sized> Objective for &T {
-    fn value(&self, x: &[f64]) -> f64 {
-        (**self).value(x)
-    }
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        (**self).gradient(x, grad);
-    }
-    // Forwarded explicitly: the default would hide an underlying
-    // adjoint override behind the finite-difference gradient.
-    fn gradient_with(&self, x: &[f64], grad: &mut [f64], mode: GradientMode) {
-        (**self).gradient_with(x, grad, mode);
     }
 }
 
@@ -260,23 +192,6 @@ mod tests {
         let f = FnObjective::new(|x: &[f64]| x[0]);
         let mut grad = [0.0; 2];
         NumericalGradient::central(&f, &[1.0], &mut grad);
-    }
-
-    #[test]
-    fn gradient_with_dispatches_modes() {
-        let f = FnObjective::new(|x: &[f64]| x.iter().map(|v| v * v * v).sum());
-        let x = [0.5, -1.25, 2.0];
-        let mut serial = [0.0; 3];
-        f.gradient_with(&x, &mut serial, GradientMode::Serial);
-        // Without an adjoint implementation, Adjoint falls back to the
-        // (possibly analytic) serial gradient.
-        let mut adjoint = [0.0; 3];
-        f.gradient_with(&x, &mut adjoint, GradientMode::Adjoint);
-        assert_eq!(
-            serial.map(f64::to_bits),
-            adjoint.map(f64::to_bits),
-            "adjoint fallback must reuse the serial path"
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::bounds::Bounds;
 use crate::clock::Deadline;
-use crate::objective::{GradientMode, Objective};
+use crate::objective::Objective;
 use crate::solution::{Solution, SolverOutcome};
 use otem_telemetry::{span, Event, NullSink, Sink};
 use serde::{Deserialize, Serialize};
@@ -29,9 +29,6 @@ pub struct ProjectedGradient {
     pub step_min: f64,
     /// Upper safeguard on the BB step length.
     pub step_max: f64,
-    /// Gradient evaluation strategy, passed to
-    /// [`Objective::gradient_with`] at every gradient evaluation.
-    pub gradient_mode: GradientMode,
 }
 
 impl Default for ProjectedGradient {
@@ -43,7 +40,6 @@ impl Default for ProjectedGradient {
             memory: 8,
             step_min: 1e-12,
             step_max: 1e10,
-            gradient_mode: GradientMode::Serial,
         }
     }
 }
@@ -98,7 +94,7 @@ impl ProjectedGradient {
         }
         let gradient = |x: &[f64], grad: &mut [f64]| {
             let _grad_span = span(sink, "gradient");
-            f.gradient_with(x, grad, self.gradient_mode);
+            f.gradient(x, grad);
             sink.record(Event::GradientEval {
                 dim: grad.len() as u64,
             });

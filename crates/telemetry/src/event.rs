@@ -13,10 +13,9 @@ use std::fmt::Write as _;
 /// conventions of the component crates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// One outer iteration of a solver ([`ProjectedGradient`] /
-    /// `GaussNewton`): current objective value, convergence residual
-    /// (projected-gradient infinity norm) and the step length (or
-    /// damping) about to be tried.
+    /// One outer iteration of the solver ([`ProjectedGradient`]):
+    /// current objective value, convergence residual (projected-gradient
+    /// infinity norm) and the step length about to be tried.
     ///
     /// [`ProjectedGradient`]: https://docs.rs/otem-solver
     SolverIteration {
@@ -46,9 +45,9 @@ pub enum Event {
     SolveOutcome {
         /// Stable snake_case outcome name (`SolverOutcome::name()`).
         outcome: &'static str,
-        /// Stable snake_case gradient-mode name (`GradientMode::
-        /// name()`: `serial` / `adjoint` / `gauss_newton`) — the `mode` label of the
-        /// `otem_solve_outcome_total` metric family.
+        /// Stable snake_case gradient-mode name (`otem::mpc::
+        /// GradientMode::name()`: `serial` / `adjoint`) — the `mode`
+        /// label of the `otem_solve_outcome_total` metric family.
         mode: &'static str,
         /// Outer iterations actually performed.
         iterations: u64,

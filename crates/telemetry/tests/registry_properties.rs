@@ -7,7 +7,7 @@ use otem_telemetry::promparse::validate_exposition;
 use otem_telemetry::{MetricValue, MetricsRegistry, RegistrySnapshot};
 use proptest::prelude::*;
 
-const MODES: [&str; 3] = ["adjoint", "gauss_newton", "finite_diff"];
+const MODES: [&str; 3] = ["adjoint", "serial", "finite_diff"];
 const OUTCOMES: [&str; 3] = ["converged", "stalled", "deadline_reached"];
 const ROUTES: [&str; 3] = ["/simulate", "/plan", "other"];
 const BOUNDS: [f64; 3] = [0.001, 0.1, 1.0];

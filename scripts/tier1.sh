@@ -66,6 +66,11 @@ done
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc gate: rustdoc warnings (a dangling intra-doc link to a deleted
+# item, a broken code block) fail tier-1.
+step "cargo doc --workspace --no-deps (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Span-accounting gate: a short traced run must produce a balanced,
 # properly nested span stream (trace_report exits 1 otherwise).
 step "trace_report --steps 20 (span accounting)"
@@ -79,12 +84,6 @@ cargo test -q --test gradient_parity
 
 step "perf_report --gradient adjoint (rollout-count smoke)"
 cargo run -q --release -p otem-bench --bin perf_report -- --gradient adjoint
-
-# Gauss-Newton gate: under a raised iteration budget the tape-curvature
-# mode must reach certified convergence in strictly fewer iterations
-# than first-order adjoint descent on the same warm-started problem.
-step "perf_report --gradient gauss-newton (iterations-to-tolerance smoke)"
-cargo run -q --release -p otem-bench --bin perf_report -- --gradient gauss-newton
 
 # Fleet gates: (1) a 64-vehicle campaign must be bit-identical across
 # serial/static/work-stealing schedules and shard counts, (2) the

@@ -13,11 +13,10 @@
 //! allocator below is process-wide, and a sibling test running
 //! concurrently would pollute the counts.
 
-use otem_repro::control::mpc::MpcConfig;
+use otem_repro::control::mpc::{GradientMode, MpcConfig};
 use otem_repro::control::policy::Otem;
 use otem_repro::control::{Simulator, SystemConfig};
 use otem_repro::drivecycle::PowerTrace;
-use otem_repro::solver::GradientMode;
 use otem_repro::telemetry::{MemorySink, NullSink};
 use otem_repro::units::{Seconds, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
